@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
       harness::SeriesPoint pt = harness::run_point(c, seeds, p);
       std::printf("%-14s %-8g | %10.1f %6.0f %6.0f | %9.2f | %llu\n", pname.c_str(),
                   p, pt.received.mean, pt.received.min, pt.received.max,
-                  pt.mean_goodput_pct,
-                  static_cast<unsigned long long>(pt.mean_transmissions));
+                  pt.mean("goodput_pct"),
+                  static_cast<unsigned long long>(pt.mean("transmissions")));
       std::fflush(stdout);
     }
   }

@@ -29,12 +29,12 @@ int main(int argc, char** argv) {
     }
     delivered_total /= static_cast<double>(pt.runs.size());
     const double cost = delivered_total > 0
-                            ? static_cast<double>(pt.mean_transmissions) / delivered_total
+                            ? static_cast<double>(pt.mean("transmissions")) / delivered_total
                             : 0.0;
     std::printf("%-14s | %10.1f %6.0f %6.0f | %12llu | %.2f\n",
                 harness::ProtocolRegistry::instance().name_of(protocol).c_str(),
                 pt.received.mean, pt.received.min, pt.received.max,
-                static_cast<unsigned long long>(pt.mean_transmissions), cost);
+                static_cast<unsigned long long>(pt.mean("transmissions")), cost);
     std::fflush(stdout);
   }
   std::printf("\n");

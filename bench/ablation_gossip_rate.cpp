@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
     for (const harness::SeriesPoint& pt : series.points) {
       std::printf("%-14s %-12g | %10.1f %6.0f %6.0f | %9.2f | %llu\n",
                   series.name.c_str(), pt.x, pt.received.mean, pt.received.min,
-                  pt.received.max, pt.mean_goodput_pct,
-                  static_cast<unsigned long long>(pt.mean_transmissions));
+                  pt.received.max, pt.mean("goodput_pct"),
+                  static_cast<unsigned long long>(pt.mean("transmissions")));
     }
   }
   if (result.write_json("BENCH_ablation_gossip_rate.json")) {

@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
         harness::SeriesPoint p = harness::run_point(c, seeds, range);
         std::printf("%-8g %-10s | %10.1f %6.0f %6.0f | %9.2f | %llu\n", range,
                     bias ? "gradient" : "uniform", p.received.mean, p.received.min,
-                    p.received.max, p.mean_goodput_pct,
-                    static_cast<unsigned long long>(p.mean_transmissions));
+                    p.received.max, p.mean("goodput_pct"),
+                    static_cast<unsigned long long>(p.mean("transmissions")));
         std::fflush(stdout);
       }
     }

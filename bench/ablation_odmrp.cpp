@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
     std::printf("%-14s | %10.1f %6.0f %6.0f | %9.2f | %llu\n",
                 harness::ProtocolRegistry::instance().name_of(protocol).c_str(),
                 pt.received.mean, pt.received.min, pt.received.max,
-                pt.mean_goodput_pct,
-                static_cast<unsigned long long>(pt.mean_transmissions));
+                pt.mean("goodput_pct"),
+                static_cast<unsigned long long>(pt.mean("transmissions")));
     std::fflush(stdout);
   }
   std::printf("\n");

@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
       harness::SeriesPoint pt = harness::run_point(c, seeds, 0.0);
       std::printf("%-10s | %10.1f %6.0f %6.0f | %9.2f | %llu\n", m.name,
                   pt.received.mean, pt.received.min, pt.received.max,
-                  pt.mean_goodput_pct,
-                  static_cast<unsigned long long>(pt.mean_transmissions));
+                  pt.mean("goodput_pct"),
+                  static_cast<unsigned long long>(pt.mean("transmissions")));
       std::fflush(stdout);
     }
   }

@@ -15,6 +15,7 @@
 //   isolation settings over {flooding_gossip, maodv_gossip}, 120 s runs.
 #include <chrono>
 #include <cstdio>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,10 @@
 #include "harness/atomic_io.h"
 
 namespace {
+
+// Per-series fields in BENCH_adversary.json (and the progress lines).
+constexpr ag::stats::Groups kGroups = ag::stats::groups_of(
+    ag::stats::Group::summary, ag::stats::Group::core, ag::stats::Group::adversary);
 
 struct CellReport {
   std::string label;
@@ -73,20 +78,9 @@ bool write_adversary_json(const std::string& path,
         << ", \"sim_events\": " << cell.sim_events
         << ", \"events_per_sec\": " << events_per_sec << ", \"series\": [\n";
     for (std::size_t s = 0; s < cell.result.series.size(); ++s) {
-      const ag::harness::FigureSeries& series = cell.result.series[s];
-      const ag::harness::SeriesPoint& p = series.points.front();
-      out << "      {\"name\": \"" << series.name << "\""
-          << ", \"received_mean\": " << p.received.mean
-          << ", \"delivery_ratio\": " << p.mean_delivery_ratio
-          << ", \"transmissions\": " << p.mean_transmissions
-          << ", \"adversary_nodes\": " << p.mean_adversary_nodes
-          << ", \"adversary_absorbed\": " << p.mean_adversary_absorbed
-          << ", \"adversary_poisoned\": " << p.mean_adversary_poisoned
-          << ", \"trust_isolations\": " << p.mean_trust_isolations
-          << ", \"trust_false_positives\": " << p.mean_trust_false_positives
-          << ", \"trust_filtered\": " << p.mean_trust_filtered
-          << ", \"detection_latency_s\": " << p.mean_detection_latency_s << "}"
-          << (s + 1 < cell.result.series.size() ? "," : "") << "\n";
+      out << "      ";
+      ag::bench::write_series_line(out, cell.result.series[s], kGroups);
+      out << (s + 1 < cell.result.series.size() ? "," : "") << "\n";
     }
     out << "    ]}" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
@@ -211,15 +205,9 @@ int main(int argc, char** argv) {
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                 .count();
         for (const harness::FigureSeries& s : result.series) {
-          const harness::SeriesPoint& p = s.points.front();
-          std::printf("  %-16s delivery=%.3f adversaries=%llu absorbed=%llu "
-                      "poisoned=%llu isolated=%.1f fp=%.1f latency=%.1fs\n",
-                      s.name.c_str(), p.mean_delivery_ratio,
-                      static_cast<unsigned long long>(p.mean_adversary_nodes),
-                      static_cast<unsigned long long>(p.mean_adversary_absorbed),
-                      static_cast<unsigned long long>(p.mean_adversary_poisoned),
-                      p.mean_trust_isolations, p.mean_trust_false_positives,
-                      p.mean_detection_latency_s);
+          std::cout << "  ";
+          bench::write_series_line(std::cout, s, kGroups);
+          std::cout << "\n";
         }
         std::fflush(stdout);
         const std::uint64_t events = total_sim_events(result);

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <exception>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,6 +66,15 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
     if (std::strcmp(argv[i], flag) == 0) return true;
   }
   return false;
+}
+
+// One series of a one-value sweep (the cell benches: scale_smoke,
+// figure_dtn, figure_adversary) as `{"name": ..., <fields of groups>}`.
+inline void write_series_line(std::ostream& out, const harness::FigureSeries& s,
+                              stats::Groups groups) {
+  out << "{\"name\": \"" << harness::json_escaped(s.name) << "\"";
+  harness::write_point_fields(out, s.points.front(), groups);
+  out << "}";
 }
 
 // Shared --help/-h implementation for every figure bench: one place lists

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,11 @@
 #include "harness/atomic_io.h"
 
 namespace {
+
+// Per-series fields in BENCH_dtn.json (and the progress lines).
+constexpr ag::stats::Groups kGroups =
+    ag::stats::groups_of(ag::stats::Group::summary, ag::stats::Group::core,
+                         ag::stats::Group::sessions, ag::stats::Group::custody);
 
 // One (duty, churn, budget) grid cell: a single-value sweep across all
 // protocols, timed like scale_smoke so BENCH_dtn.json doubles as a perf
@@ -79,20 +85,9 @@ bool write_dtn_json(const std::string& path, const std::vector<CellReport>& cell
         << ", \"sim_events\": " << cell.sim_events
         << ", \"events_per_sec\": " << events_per_sec << ", \"series\": [\n";
     for (std::size_t s = 0; s < cell.result.series.size(); ++s) {
-      const ag::harness::FigureSeries& series = cell.result.series[s];
-      const ag::harness::SeriesPoint& p = series.points.front();
-      out << "      {\"name\": \"" << series.name << "\""
-          << ", \"received_mean\": " << p.received.mean
-          << ", \"delivery_ratio\": " << p.mean_delivery_ratio
-          << ", \"transmissions\": " << p.mean_transmissions
-          << ", \"sessions\": " << p.mean_sessions
-          << ", \"users_served\": " << p.mean_users_served
-          << ", \"user_eligible\": " << p.mean_user_eligible
-          << ", \"users_served_ratio\": " << p.mean_users_ratio
-          << ", \"custody_stored\": " << p.mean_custody_stored
-          << ", \"custody_offers\": " << p.mean_custody_offers
-          << ", \"custody_accepted\": " << p.mean_custody_accepted << "}"
-          << (s + 1 < cell.result.series.size() ? "," : "") << "\n";
+      out << "      ";
+      ag::bench::write_series_line(out, cell.result.series[s], kGroups);
+      out << (s + 1 < cell.result.series.size() ? "," : "") << "\n";
     }
     out << "    ]}" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
@@ -194,16 +189,9 @@ int main(int argc, char** argv) {
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                 .count();
         for (const harness::FigureSeries& s : result.series) {
-          const harness::SeriesPoint& p = s.points.front();
-          std::printf("  %-16s delivery=%.2f users=%llu/%llu (%.2f) "
-                      "custody stored=%llu offered=%llu accepted=%llu\n",
-                      s.name.c_str(), p.mean_delivery_ratio,
-                      static_cast<unsigned long long>(p.mean_users_served),
-                      static_cast<unsigned long long>(p.mean_user_eligible),
-                      p.mean_users_ratio,
-                      static_cast<unsigned long long>(p.mean_custody_stored),
-                      static_cast<unsigned long long>(p.mean_custody_offers),
-                      static_cast<unsigned long long>(p.mean_custody_accepted));
+          std::cout << "  ";
+          bench::write_series_line(std::cout, s, kGroups);
+          std::cout << "\n";
         }
         std::fflush(stdout);
         const std::uint64_t events = total_sim_events(result);

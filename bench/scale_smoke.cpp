@@ -113,6 +113,10 @@ struct EventMixTotals {
 constexpr double kFullDurationS = 80.0;
 constexpr double kMaxNodeSeconds = 1000.0 * kFullDurationS;
 
+// Per-series fields in BENCH_scale.json.
+constexpr ag::stats::Groups kGroups = ag::stats::groups_of(
+    ag::stats::Group::summary, ag::stats::Group::core, ag::stats::Group::phy_work);
+
 struct PointReport {
   std::size_t nodes;
   double duration_s;
@@ -201,19 +205,9 @@ bool write_scale_json(const std::string& path, const std::vector<PointReport>& r
     }
     out << "}, \"series\": [\n";
     for (std::size_t s = 0; s < rep.result.series.size(); ++s) {
-      const ag::harness::FigureSeries& series = rep.result.series[s];
-      const ag::harness::SeriesPoint& p = series.points.front();
-      out << "      {\"name\": \"" << series.name << "\""
-          << ", \"received_mean\": " << p.received.mean
-          << ", \"delivery_ratio\": " << p.mean_delivery_ratio
-          << ", \"transmissions\": " << p.mean_transmissions
-          << ", \"deliveries\": " << p.mean_deliveries
-          << ", \"suppressed_down\": " << p.mean_suppressed_down
-          << ", \"suppressed_partition\": " << p.mean_suppressed_partition
-          << ", \"table_probes\": " << p.mean_table_probes
-          << ", \"pool_hits\": " << p.mean_pool_hits
-          << ", \"pool_misses\": " << p.mean_pool_misses << "}"
-          << (s + 1 < rep.result.series.size() ? "," : "") << "\n";
+      out << "      ";
+      ag::bench::write_series_line(out, rep.result.series[s], kGroups);
+      out << (s + 1 < rep.result.series.size() ? "," : "") << "\n";
     }
     out << "    ]}" << (i + 1 < reports.size() ? "," : "") << "\n";
   }
@@ -285,7 +279,7 @@ int main(int argc, char** argv) {
     for (const harness::FigureSeries& s : result.series) {
       const harness::SeriesPoint& p = s.points.front();
       std::printf("  %s=%.1f (%.2f)", s.name.c_str(), p.received.mean,
-                  p.mean_delivery_ratio);
+                  p.mean("delivery_ratio"));
     }
     std::printf("\n");
     std::fflush(stdout);

@@ -6,57 +6,47 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <ostream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/network.h"
 #include "harness/scenario.h"
 #include "stats/run_result.h"
+#include "stats/run_schema.h"
 #include "stats/summary.h"
 
 namespace ag::harness {
 
 struct SeriesPoint {
-  double x{0.0};                // swept parameter value
-  stats::Summary received;      // per-member received packets across seeds
-  double mean_goodput_pct{100.0};
-  double mean_delivery_ratio{0.0};
-  std::uint64_t mean_transmissions{0};  // network-wide MAC transmissions
-  // Phy work done (channel receiver decisions), averaged across seeds.
-  std::uint64_t mean_deliveries{0};
-  std::uint64_t mean_suppressed_down{0};
-  std::uint64_t mean_suppressed_partition{0};
-  // Data-plane work (table ops + packet-pool behaviour), averaged.
-  std::uint64_t mean_table_probes{0};
-  std::uint64_t mean_pool_hits{0};
-  std::uint64_t mean_pool_misses{0};
-  // DTN custody + user sessions, averaged. dtn_active gates the
-  // conditional BENCH json fields (false on every pre-custody scenario,
-  // so those files stay byte-identical).
-  bool dtn_active{false};
-  std::uint64_t mean_sessions{0};
-  std::uint64_t mean_users_served{0};
-  std::uint64_t mean_user_eligible{0};
-  double mean_users_ratio{0.0};  // mean of per-run users_served/eligible
-  std::uint64_t mean_custody_stored{0};
-  std::uint64_t mean_custody_offers{0};
-  std::uint64_t mean_custody_accepted{0};
-  // Adversary axis + trust layer, averaged. adversary_active gates the
-  // conditional BENCH json fields exactly like dtn_active.
-  bool adversary_active{false};
-  std::uint64_t mean_adversary_nodes{0};
-  std::uint64_t mean_adversary_absorbed{0};
-  std::uint64_t mean_adversary_poisoned{0};
-  double mean_trust_isolations{0.0};
-  double mean_trust_false_positives{0.0};
-  std::uint64_t mean_trust_filtered{0};
-  double mean_detection_latency_s{0.0};
+  double x{0.0};            // swept parameter value
+  stats::Summary received;  // per-member received packets, pooled over every
+                            // member of every seed
+  std::vector<stats::FieldMean> means;  // seed mean of every folded schema
+                                        // field, in schema order
+  stats::Groups groups{0};  // schema groups this point carries
   std::vector<stats::RunResult> runs;   // raw results (one per seed)
+
+  // Seed mean of the schema field `key`; throws std::out_of_range when no
+  // schema line folds that key.
+  [[nodiscard]] double mean(std::string_view key) const;
 };
 
-// Folds per-seed results (in seed order) into one point. Shared by the
-// serial run_point and the parallel ExperimentBuilder so both produce
-// bit-identical aggregates for the same seeds.
+// Folds per-seed results (in seed order) into one point, field by field as
+// stats/run_schema.h says. Shared by the serial run_point and the parallel
+// ExperimentBuilder so both produce bit-identical aggregates for the same
+// seeds. A point with no runs (every seed failed) reports an empty run.
 [[nodiscard]] SeriesPoint aggregate_point(double x, std::vector<stats::RunResult> runs);
+
+// Writes the fields of `groups` in point `p` as `, "key": value` pairs:
+// group by group in stats::Group order, the summary group's receive
+// summary first, then each group's folded fields in schema order. Numbers
+// print at the stream's precision.
+void write_point_fields(std::ostream& out, const SeriesPoint& p, stats::Groups groups);
+
+// `s` as the body of a JSON string literal.
+[[nodiscard]] std::string json_escaped(std::string_view s);
 
 // Runs `config` with seeds 1..seeds and aggregates.
 [[nodiscard]] SeriesPoint run_point(ScenarioConfig config, std::uint32_t seeds, double x);

@@ -14,11 +14,15 @@
 
 #include "harness/atomic_io.h"
 #include "sim/env.h"
-#include "sim/event_category.h"
+#include "stats/run_schema.h"
 
 namespace ag::harness {
 
 namespace {
+
+// Checkpoint layout version; a file of any other version reads as corrupt
+// and its shard re-runs. Format 2 spells every key as the BENCH files do.
+constexpr std::uint64_t kShardFormat = 2;
 
 // ---------------------------------------------------------------------------
 // number formatting: exact round-trips
@@ -251,49 +255,43 @@ class JsonParser {
 };
 
 // ---------------------------------------------------------------------------
-// RunResult <-> JSON via one shared field list
+// RunResult <-> JSON through the run-record schema (stats/run_schema.h)
 // ---------------------------------------------------------------------------
 
-// Serializer visitor: appends `"name": value` pairs into an object body.
+// Serializer visitor: appends `"key": value` pairs into an object body.
 class FieldWriter {
  public:
-  void u64(const char* name, const std::uint64_t& v) {
-    sep();
-    out_ += '"';
-    out_ += name;
-    out_ += "\": ";
-    out_ += std::to_string(v);
-  }
-  void f64(const char* name, const double& v) {
-    sep();
-    out_ += '"';
-    out_ += name;
-    out_ += "\": ";
-    out_ += f64_text(v);
-  }
-  void boolean(const char* name, const bool& v) {
-    sep();
-    out_ += '"';
-    out_ += name;
-    out_ += "\": ";
-    out_ += v ? "true" : "false";
-  }
-  void u64_array(const char* name, const std::uint64_t* v, std::size_t n) {
-    sep();
-    out_ += '"';
-    out_ += name;
-    out_ += "\": [";
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i > 0) out_ += ',';
-      out_ += std::to_string(v[i]);
+  void field(const char* key, std::uint64_t v) { put(key, std::to_string(v)); }
+  void field(const char* key, std::uint32_t v) { put(key, std::to_string(v)); }
+  void field(const char* key, net::NodeId v) { put(key, std::to_string(v.value())); }
+  void field(const char* key, double v) { put(key, f64_text(v)); }
+  template <std::size_t N>
+  void field(const char* key, const std::uint64_t (&v)[N]) {
+    std::string text = "[";
+    for (std::size_t i = 0; i < N; ++i) {
+      if (i > 0) text += ',';
+      text += std::to_string(v[i]);
     }
-    out_ += ']';
+    put(key, text + "]");
   }
+  template <typename T>
+  void field(const char* key, const T& v, stats::Group /*group*/, stats::Fold /*fold*/) {
+    field(key, v);
+  }
+  void gate(const char* key, bool v, stats::Groups /*gated*/) {
+    put(key, v ? "true" : "false");
+  }
+  void ratio(const char* /*key*/, double /*derived*/, stats::Group /*group*/) {}
+
   [[nodiscard]] std::string take() { return std::move(out_); }
 
  private:
-  void sep() {
+  void put(const char* key, const std::string& text) {
     if (!out_.empty()) out_ += ", ";
+    out_ += '"';
+    out_ += key;
+    out_ += "\": ";
+    out_ += text;
   }
   std::string out_;
 };
@@ -305,65 +303,74 @@ class FieldReader {
  public:
   explicit FieldReader(const Json& obj) : obj_{obj} {}
 
-  void u64(const char* name, std::uint64_t& v) {
-    const Json* j = need(name, Json::Type::number);
-    if (j == nullptr) return;
-    errno = 0;
-    char* end = nullptr;
-    v = std::strtoull(j->text.c_str(), &end, 10);
-    if (errno != 0 || end == j->text.c_str() || *end != '\0') {
-      fail(std::string{"bad u64 in "} + name);
-    }
+  void field(const char* key, std::uint64_t& v) {
+    const Json* j = need(key, Json::Type::number);
+    if (j != nullptr && !parse_u64(j->text, v)) fail(std::string{"bad u64 in "} + key);
   }
-  void f64(const char* name, double& v) {
-    const Json* j = need(name, Json::Type::number);
+  void field(const char* key, std::uint32_t& v) {
+    std::uint64_t wide = 0;
+    field(key, wide);
+    v = static_cast<std::uint32_t>(wide);
+  }
+  void field(const char* key, net::NodeId& v) {
+    std::uint32_t raw = 0;
+    field(key, raw);
+    v = net::NodeId{raw};
+  }
+  void field(const char* key, double& v) {
+    const Json* j = need(key, Json::Type::number);
     if (j == nullptr) return;
     char* end = nullptr;
     v = std::strtod(j->text.c_str(), &end);
     if (end == j->text.c_str() || *end != '\0') {
-      fail(std::string{"bad double in "} + name);
+      fail(std::string{"bad double in "} + key);
     }
   }
-  void boolean(const char* name, bool& v) {
-    const Json* j = need(name, Json::Type::boolean);
-    if (j != nullptr) v = j->b;
-  }
-  void u64_array(const char* name, std::uint64_t* v, std::size_t n) {
-    const Json* j = need(name, Json::Type::array);
+  template <std::size_t N>
+  void field(const char* key, std::uint64_t (&v)[N]) {
+    const Json* j = need(key, Json::Type::array);
     if (j == nullptr) return;
-    if (j->items.size() != n) {
-      fail(std::string{name} + " length " + std::to_string(j->items.size()) +
-           " != " + std::to_string(n));
+    if (j->items.size() != N) {
+      fail(std::string{key} + " length " + std::to_string(j->items.size()) +
+           " != " + std::to_string(N));
       return;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (j->items[i].type != Json::Type::number) {
-        fail(std::string{"non-number in "} + name);
-        return;
-      }
-      errno = 0;
-      char* end = nullptr;
-      v[i] = std::strtoull(j->items[i].text.c_str(), &end, 10);
-      if (errno != 0 || end == j->items[i].text.c_str() || *end != '\0') {
-        fail(std::string{"bad u64 in "} + name);
+    for (std::size_t i = 0; i < N; ++i) {
+      if (j->items[i].type != Json::Type::number || !parse_u64(j->items[i].text, v[i])) {
+        fail(std::string{"bad u64 in "} + key);
         return;
       }
     }
   }
+  template <typename T>
+  void field(const char* key, T& v, stats::Group /*group*/, stats::Fold /*fold*/) {
+    field(key, v);
+  }
+  void gate(const char* key, bool& v, stats::Groups /*gated*/) {
+    const Json* j = need(key, Json::Type::boolean);
+    if (j != nullptr) v = j->b;
+  }
+  void ratio(const char* /*key*/, double /*derived*/, stats::Group /*group*/) {}
 
   [[nodiscard]] bool ok() const { return error_.empty(); }
   [[nodiscard]] const std::string& error() const { return error_; }
 
  private:
-  const Json* need(const char* name, Json::Type type) {
+  static bool parse_u64(const std::string& text, std::uint64_t& v) {
+    errno = 0;
+    char* end = nullptr;
+    v = std::strtoull(text.c_str(), &end, 10);
+    return errno == 0 && end != text.c_str() && *end == '\0';
+  }
+  const Json* need(const char* key, Json::Type type) {
     if (!error_.empty()) return nullptr;
-    const Json* j = obj_.find(name);
+    const Json* j = obj_.find(key);
     if (j == nullptr) {
-      fail(std::string{"missing field "} + name);
+      fail(std::string{"missing field "} + key);
       return nullptr;
     }
     if (j->type != type) {
-      fail(std::string{"wrong type for "} + name);
+      fail(std::string{"wrong type for "} + key);
       return nullptr;
     }
     return j;
@@ -376,109 +383,27 @@ class FieldReader {
   std::string error_;
 };
 
-// The one field list both directions share. Adding a NetworkTotals
-// counter? Add one line here and the checkpoint round-trips it.
-template <typename V, typename Totals>
-void visit_totals(Totals& t, V& v) {
-  v.u64("channel_transmissions", t.channel_transmissions);
-  v.u64("phy_deliveries", t.phy_deliveries);
-  v.u64("phy_suppressed_down", t.phy_suppressed_down);
-  v.u64("phy_suppressed_partition", t.phy_suppressed_partition);
-  v.u64("sim_events", t.sim_events);
-  v.u64_array("ev_scheduled", t.ev_scheduled, sim::kEventCategoryCount);
-  v.u64_array("ev_executed", t.ev_executed, sim::kEventCategoryCount);
-  v.u64("mac_backoff_slots_credited", t.mac_backoff_slots_credited);
-  v.u64("mac_difs_elided", t.mac_difs_elided);
-  v.u64("phy_rx_elided", t.phy_rx_elided);
-  v.u64("phy_rx_coalesced", t.phy_rx_coalesced);
-  v.u64("table_probes", t.table_probes);
-  v.u64("pool_hits", t.pool_hits);
-  v.u64("pool_misses", t.pool_misses);
-  v.u64("mac_unicast", t.mac_unicast);
-  v.u64("mac_broadcast", t.mac_broadcast);
-  v.u64("mac_collisions", t.mac_collisions);
-  v.u64("mac_queue_drops", t.mac_queue_drops);
-  v.u64("rreq_originated", t.rreq_originated);
-  v.u64("rerr_sent", t.rerr_sent);
-  v.u64("grph_sent", t.grph_sent);
-  v.u64("mact_sent", t.mact_sent);
-  v.u64("data_forwarded", t.data_forwarded);
-  v.u64("gossip_walks", t.gossip_walks);
-  v.u64("gossip_replies", t.gossip_replies);
-  v.u64("nm_updates", t.nm_updates);
-  v.u64("repairs_started", t.repairs_started);
-  v.u64("partitions", t.partitions);
-  v.u64("leaders_elected", t.leaders_elected);
-  v.u64("custody_stored", t.custody_stored);
-  v.u64("custody_evicted_ttl", t.custody_evicted_ttl);
-  v.u64("custody_evicted_capacity", t.custody_evicted_capacity);
-  v.u64("custody_offers", t.custody_offers);
-  v.u64("custody_offers_failed", t.custody_offers_failed);
-  v.u64("custody_accepted", t.custody_accepted);
-  v.u64("custody_duplicates", t.custody_duplicates);
-  v.u64("adversary_nodes", t.adversary_nodes);
-  v.u64("adversary_absorbed", t.adversary_absorbed);
-  v.u64("adversary_poisoned", t.adversary_poisoned);
-  v.u64("trust_isolations", t.trust_isolations);
-  v.u64("trust_false_positives", t.trust_false_positives);
-  v.u64("trust_filtered", t.trust_filtered);
-  v.f64("trust_detection_latency_s", t.trust_detection_latency_s);
-  v.boolean("adversary_active", t.adversary_active);
-  v.u64("sessions", t.sessions.sessions);
-  v.u64("users_served", t.sessions.users_served);
-  v.u64("user_eligible", t.sessions.user_eligible);
-  v.boolean("dtn_active", t.dtn_active);
-}
-
-template <typename V, typename Faults>
-void visit_faults(Faults& f, V& v) {
-  v.u64("crashes", f.crashes);
-  v.u64("reboots", f.reboots);
-  v.u64("leaves", f.leaves);
-  v.u64("joins", f.joins);
-  v.u64("partitions", f.partitions);
-  v.u64("heals", f.heals);
-  v.f64("node_down_s", f.node_down_s);
-  v.f64("partitioned_s", f.partitioned_s);
-}
-
-std::string member_json(const stats::MemberResult& m) {
+// The `"key": value, ...` pairs of one record, `visit` walking it through a
+// writer.
+template <typename Visit>
+std::string json_fields(Visit visit) {
   FieldWriter w;
-  std::uint64_t node = m.node.value();
-  std::uint64_t received = m.received;
-  std::uint64_t via_gossip = m.via_gossip;
-  std::uint64_t replies_received = m.replies_received;
-  std::uint64_t replies_useful = m.replies_useful;
-  std::uint64_t eligible = m.eligible;
-  double mean_latency_s = m.mean_latency_s;
-  w.u64("node", node);
-  w.u64("received", received);
-  w.u64("via_gossip", via_gossip);
-  w.u64("replies_received", replies_received);
-  w.u64("replies_useful", replies_useful);
-  w.u64("eligible", eligible);
-  w.f64("mean_latency_s", mean_latency_s);
-  return "{" + w.take() + "}";
+  visit(w);
+  return w.take();
 }
 
-bool member_from_json(const Json& obj, stats::MemberResult& m, std::string& error) {
-  FieldReader r{obj};
-  std::uint64_t node = 0;
-  double mean_latency_s = 0.0;
-  r.u64("node", node);
-  r.u64("received", m.received);
-  r.u64("via_gossip", m.via_gossip);
-  r.u64("replies_received", m.replies_received);
-  r.u64("replies_useful", m.replies_useful);
-  r.u64("eligible", m.eligible);
-  r.f64("mean_latency_s", mean_latency_s);
-  if (!r.ok()) {
-    error = r.error();
+// Reads the record `visit` walks out of `obj`; on failure sets `error`,
+// prefixed with `what`.
+template <typename Visit>
+bool read_object(const Json* obj, const char* what, Visit visit, std::string& error) {
+  if (obj == nullptr || obj->type != Json::Type::object) {
+    error = std::string{"missing "} + what + " object";
     return false;
   }
-  m.node = net::NodeId{static_cast<std::uint32_t>(node)};
-  m.mean_latency_s = mean_latency_s;
-  return true;
+  FieldReader r{*obj};
+  visit(r);
+  if (!r.ok()) error = std::string{what} + ": " + r.error();
+  return r.ok();
 }
 
 }  // namespace
@@ -491,40 +416,27 @@ bool write_shard_json(const std::string& path, const std::string& experiment,
                       std::size_t index, const CellId& cell,
                       const stats::RunResult& result) {
   std::ostringstream body;
-  body << "{\n\"format\": 1,\n";
-  body << "\"experiment\": \"" << experiment << "\",\n";
+  body << "{\n\"format\": " << kShardFormat << ",\n";
+  body << "\"experiment\": \"" << json_escaped(experiment) << "\",\n";
   body << "\"shard\": " << index << ",\n";
-  body << "\"protocol\": \"" << cell.protocol << "\",\n";
+  body << "\"protocol\": \"" << json_escaped(cell.protocol) << "\",\n";
   body << "\"x\": " << f64_text(cell.x) << ",\n";
   body << "\"seed\": " << cell.seed << ",\n";
-  {
-    FieldWriter w;
-    std::uint64_t seed = result.seed;
-    std::uint64_t packets_sent = result.packets_sent;
-    w.u64("seed", seed);
-    w.u64("packets_sent", packets_sent);
-    body << "\"result\": {" << w.take() << ",\n";
-  }
+  body << "\"result\": {"
+       << json_fields([&](FieldWriter& w) { stats::visit_header(result, w); }) << ",\n";
   body << "\"members\": [";
   for (std::size_t i = 0; i < result.members.size(); ++i) {
-    body << (i > 0 ? ",\n" : "\n") << member_json(result.members[i]);
+    body << (i > 0 ? ",\n" : "\n") << "{"
+         << json_fields([&](FieldWriter& w) { stats::visit_member(result.members[i], w); })
+         << "}";
   }
   body << "],\n";
-  {
-    FieldWriter w;
-    // visit_totals only mutates through the reader visitor; the writer
-    // takes const refs, so the const_cast-free trick is a non-const
-    // local copy.
-    stats::NetworkTotals totals = result.totals;
-    visit_totals(totals, w);
-    body << "\"totals\": {" << w.take() << "},\n";
-  }
-  {
-    FieldWriter w;
-    stats::FaultStats faults = result.faults;
-    visit_faults(faults, w);
-    body << "\"faults\": {" << w.take() << "}\n";
-  }
+  body << "\"totals\": {"
+       << json_fields([&](FieldWriter& w) { stats::visit_totals(result.totals, w); })
+       << "},\n";
+  body << "\"faults\": {"
+       << json_fields([&](FieldWriter& w) { stats::visit_faults(result.faults, w); })
+       << "}\n";
   body << "}\n}\n";
   const std::string text = body.str();
   return write_file_atomic(path, [&text](std::ostream& out) { out << text; });
@@ -556,10 +468,12 @@ std::optional<stats::RunResult> read_shard_json(const std::string& path,
     FieldReader r{*root};
     std::uint64_t format = 0;
     std::uint64_t shard = 0;
-    r.u64("format", format);
-    r.u64("shard", shard);
+    r.field("format", format);
+    r.field("shard", shard);
     if (!r.ok()) return fail(path + ": " + r.error());
-    if (format != 1) return fail(path + ": unknown format " + std::to_string(format));
+    if (format != kShardFormat) {
+      return fail(path + ": unknown format " + std::to_string(format));
+    }
     if (shard != index) {
       return fail(path + ": records shard " + std::to_string(shard) +
                   ", expected " + std::to_string(index));
@@ -571,51 +485,28 @@ std::optional<stats::RunResult> read_shard_json(const std::string& path,
   }
 
   const Json* res = root->find("result");
-  if (res == nullptr || res->type != Json::Type::object) {
-    return fail(path + ": missing result object");
-  }
   stats::RunResult out;
-  {
-    FieldReader r{*res};
-    std::uint64_t seed = 0;
-    std::uint64_t packets_sent = 0;
-    r.u64("seed", seed);
-    r.u64("packets_sent", packets_sent);
-    if (!r.ok()) return fail(path + ": " + r.error());
-    out.seed = seed;
-    out.packets_sent = static_cast<std::uint32_t>(packets_sent);
+  std::string what;
+  if (!read_object(res, "result", [&](FieldReader& r) { stats::visit_header(out, r); },
+                   what)) {
+    return fail(path + ": " + what);
   }
   const Json* members = res->find("members");
   if (members == nullptr || members->type != Json::Type::array) {
     return fail(path + ": missing members array");
   }
-  out.members.reserve(members->items.size());
-  for (const Json& item : members->items) {
-    if (item.type != Json::Type::object) return fail(path + ": non-object member");
-    stats::MemberResult m;
-    std::string member_error;
-    if (!member_from_json(item, m, member_error)) {
-      return fail(path + ": member: " + member_error);
+  out.members.resize(members->items.size());
+  for (std::size_t i = 0; i < out.members.size(); ++i) {
+    if (!read_object(&members->items[i], "member",
+                     [&](FieldReader& r) { stats::visit_member(out.members[i], r); }, what)) {
+      return fail(path + ": " + what);
     }
-    out.members.push_back(m);
   }
-  const Json* totals = res->find("totals");
-  if (totals == nullptr || totals->type != Json::Type::object) {
-    return fail(path + ": missing totals object");
-  }
-  {
-    FieldReader r{*totals};
-    visit_totals(out.totals, r);
-    if (!r.ok()) return fail(path + ": totals: " + r.error());
-  }
-  const Json* faults = res->find("faults");
-  if (faults == nullptr || faults->type != Json::Type::object) {
-    return fail(path + ": missing faults object");
-  }
-  {
-    FieldReader r{*faults};
-    visit_faults(out.faults, r);
-    if (!r.ok()) return fail(path + ": faults: " + r.error());
+  if (!read_object(res->find("totals"), "totals",
+                   [&](FieldReader& r) { stats::visit_totals(out.totals, r); }, what) ||
+      !read_object(res->find("faults"), "faults",
+                   [&](FieldReader& r) { stats::visit_faults(out.faults, r); }, what)) {
+    return fail(path + ": " + what);
   }
   return out;
 }

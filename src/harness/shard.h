@@ -8,12 +8,13 @@
 // each file (a parse failure is treated as "not done" and re-run), and
 // only missing or failed cells execute again.
 //
-// The serialization round-trips every stats::RunResult field exactly —
-// u64 counters as decimal text, doubles at 17 significant digits (the
-// shortest form guaranteed to reproduce the same IEEE double) — so a
-// merged sharded run aggregates bit-identically to the in-process serial
-// run and the BENCH JSON byte-compares clean (the repo's established
-// equivalence discipline).
+// The serialization walks the run-record schema (stats/run_schema.h) and
+// round-trips every stats::RunResult field exactly — u64 counters as
+// decimal text, doubles at 17 significant digits (the shortest form
+// guaranteed to reproduce the same IEEE double) — so a merged sharded run
+// aggregates bit-identically to the in-process serial run and the BENCH
+// JSON byte-compares clean (the repo's established equivalence
+// discipline).
 #ifndef AG_HARNESS_SHARD_H
 #define AG_HARNESS_SHARD_H
 

@@ -138,14 +138,14 @@ struct NetworkTotals {
   // isolation by any monitor, over the adversaries detected at all.
   double trust_detection_latency_s{0.0};
   // True when this run carried the adversary axis (roles assigned or the
-  // trust layer armed). Gates the conditional BENCH json fields, exactly
-  // like dtn_active.
+  // trust layer armed). Gates the adversary group (stats/run_schema.h).
   bool adversary_active{false};
   // --- user-session layer (src/session; zero sessions when disabled) ---
   session::SessionTotals sessions;
   // True when this run carried the DTN/session subsystem (custody enabled
-  // or sessions hosted). Gates the conditional BENCH json fields, so runs
-  // without the subsystem serialize byte-identically to pre-custody builds.
+  // or sessions hosted). Gates the sessions and custody groups
+  // (stats/run_schema.h), so runs without the subsystem serialize
+  // byte-identically to pre-custody builds.
   bool dtn_active{false};
 };
 

@@ -42,15 +42,12 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
       const SeriesPoint& pb = b.series[s].points[i];
       EXPECT_DOUBLE_EQ(pa.received.mean, pb.received.mean);
       EXPECT_DOUBLE_EQ(pa.received.stddev, pb.received.stddev);
-      EXPECT_DOUBLE_EQ(pa.mean_delivery_ratio, pb.mean_delivery_ratio);
-      EXPECT_EQ(pa.mean_transmissions, pb.mean_transmissions);
-      EXPECT_EQ(pa.mean_deliveries, pb.mean_deliveries);
-      // Pool and table counters are logical-op counts, so they must be
-      // scheduling-independent too — a thread-local slab leaking state
-      // between workers shows up here before it corrupts payloads.
-      EXPECT_EQ(pa.mean_table_probes, pb.mean_table_probes);
-      EXPECT_EQ(pa.mean_pool_hits, pb.mean_pool_hits);
-      EXPECT_EQ(pa.mean_pool_misses, pb.mean_pool_misses);
+      // Every folded field, the pool and table counters included: they are
+      // logical-op counts, so they must be scheduling-independent too — a
+      // thread-local slab leaking state between workers shows up here
+      // before it corrupts payloads.
+      EXPECT_EQ(pa.means, pb.means);
+      EXPECT_EQ(pa.groups, pb.groups);
       ASSERT_EQ(pa.runs.size(), pb.runs.size());
       for (std::size_t r = 0; r < pa.runs.size(); ++r) {
         EXPECT_EQ(pa.runs[r].seed, pb.runs[r].seed);

@@ -38,9 +38,8 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
       EXPECT_DOUBLE_EQ(pa.received.max, pb.received.max);
       EXPECT_DOUBLE_EQ(pa.received.stddev, pb.received.stddev);
       EXPECT_EQ(pa.received.n, pb.received.n);
-      EXPECT_DOUBLE_EQ(pa.mean_delivery_ratio, pb.mean_delivery_ratio);
-      EXPECT_DOUBLE_EQ(pa.mean_goodput_pct, pb.mean_goodput_pct);
-      EXPECT_EQ(pa.mean_transmissions, pb.mean_transmissions);
+      EXPECT_EQ(pa.means, pb.means);
+      EXPECT_EQ(pa.groups, pb.groups);
       ASSERT_EQ(pa.runs.size(), pb.runs.size());
       for (std::size_t r = 0; r < pa.runs.size(); ++r) {
         EXPECT_EQ(pa.runs[r].seed, pb.runs[r].seed);
@@ -78,7 +77,7 @@ TEST(ExperimentBuilder, MatchesRunPointAggregation) {
   EXPECT_DOUBLE_EQ(p.received.min, direct.received.min);
   EXPECT_DOUBLE_EQ(p.received.max, direct.received.max);
   EXPECT_EQ(p.received.n, direct.received.n);
-  EXPECT_EQ(p.mean_transmissions, direct.mean_transmissions);
+  EXPECT_EQ(p.means, direct.means);
 }
 
 TEST(ExperimentBuilder, SeriesNamedFromRegistryAndSized) {

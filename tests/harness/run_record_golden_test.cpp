@@ -224,7 +224,7 @@ TEST(RunRecordGolden, CheckpointBytes) {
                                         harness::CellId{"maodv_gossip", 62.5, 3}, run));
   const std::string json = read_file(path);
   EXPECT_EQ(json, R"json({
-"format": 1,
+"format": 2,
 "experiment": "golden",
 "shard": 7,
 "protocol": "maodv_gossip",
@@ -235,7 +235,7 @@ TEST(RunRecordGolden, CheckpointBytes) {
 {"node": 3, "received": 94, "via_gossip": 7, "replies_received": 12, "replies_useful": 9, "eligible": 18446744073709551615, "mean_latency_s": 0.10000000000000001},
 {"node": 11, "received": 67, "via_gossip": 2, "replies_received": 5, "replies_useful": 5, "eligible": 18446744073709551615, "mean_latency_s": 0.25},
 {"node": 17, "received": 99, "via_gossip": 0, "replies_received": 0, "replies_useful": 0, "eligible": 64, "mean_latency_s": 0}],
-"totals": {"channel_transmissions": 5004, "phy_deliveries": 40012, "phy_suppressed_down": 14, "phy_suppressed_partition": 24, "sim_events": 900004, "ev_scheduled": [1004,2004,3004,4004,5004,6004,7004,8004], "ev_executed": [904,1804,2704,3604,4504,5404,6304,7204], "mac_backoff_slots_credited": 7004, "mac_difs_elided": 304, "phy_rx_elided": 1204, "phy_rx_coalesced": 804, "table_probes": 123460, "pool_hits": 6004, "pool_misses": 44, "mac_unicast": 704, "mac_broadcast": 4304, "mac_collisions": 59, "mac_queue_drops": 10, "rreq_originated": 35, "rerr_sent": 8, "grph_sent": 65, "mact_sent": 21, "data_forwarded": 2904, "gossip_walks": 414, "gossip_replies": 154, "nm_updates": 92, "repairs_started": 7, "partitions": 1, "leaders_elected": 6, "custody_stored": 214, "custody_evicted_ttl": 13, "custody_evicted_capacity": 9, "custody_offers": 334, "custody_offers_failed": 16, "custody_accepted": 194, "custody_duplicates": 31, "adversary_nodes": 8, "adversary_absorbed": 1405, "adversary_poisoned": 82, "trust_isolations": 5, "trust_false_positives": 2, "trust_filtered": 645, "trust_detection_latency_s": 17.125, "adversary_active": true, "sessions": 2600, "users_served": 150028, "user_eligible": 210001, "dtn_active": true},
+"totals": {"transmissions": 5004, "deliveries": 40012, "suppressed_down": 14, "suppressed_partition": 24, "sim_events": 900004, "ev_scheduled": [1004,2004,3004,4004,5004,6004,7004,8004], "ev_executed": [904,1804,2704,3604,4504,5404,6304,7204], "mac_backoff_slots_credited": 7004, "mac_difs_elided": 304, "phy_rx_elided": 1204, "phy_rx_coalesced": 804, "table_probes": 123460, "pool_hits": 6004, "pool_misses": 44, "mac_unicast": 704, "mac_broadcast": 4304, "mac_collisions": 59, "mac_queue_drops": 10, "rreq_originated": 35, "rerr_sent": 8, "grph_sent": 65, "mact_sent": 21, "data_forwarded": 2904, "gossip_walks": 414, "gossip_replies": 154, "nm_updates": 92, "repairs_started": 7, "partitions": 1, "leaders_elected": 6, "custody_stored": 214, "custody_evicted_ttl": 13, "custody_evicted_capacity": 9, "custody_offers": 334, "custody_offers_failed": 16, "custody_accepted": 194, "custody_duplicates": 31, "adversary_nodes": 8, "adversary_absorbed": 1405, "adversary_poisoned": 82, "trust_isolations": 5, "trust_false_positives": 2, "trust_filtered": 645, "detection_latency_s": 17.125, "adversary_active": true, "sessions": 2600, "users_served": 150028, "user_eligible": 210001, "dtn_active": true},
 "faults": {"crashes": 2, "reboots": 1, "leaves": 4, "joins": 3, "partitions": 1, "heals": 1, "node_down_s": 95.5, "partitioned_s": 0.29999999999999999}
 }
 }
