@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -174,6 +175,10 @@ class JsonParser {
           return std::nullopt;
         }
         ++pos_;
+        if (out.find(key) != nullptr) {
+          (void)fail("duplicate key \"" + key + "\"");
+          return std::nullopt;
+        }
         std::optional<Json> item = value(depth + 1);
         if (!item) return std::nullopt;
         out.fields.emplace_back(std::move(key), std::move(*item));
@@ -310,6 +315,7 @@ class FieldReader {
   void field(const char* key, std::uint32_t& v) {
     std::uint64_t wide = 0;
     field(key, wide);
+    if (wide > 0xFFFFFFFFu) fail(std::string{"u32 out of range in "} + key);
     v = static_cast<std::uint32_t>(wide);
   }
   void field(const char* key, net::NodeId& v) {
@@ -322,7 +328,7 @@ class FieldReader {
     if (j == nullptr) return;
     char* end = nullptr;
     v = std::strtod(j->text.c_str(), &end);
-    if (end == j->text.c_str() || *end != '\0') {
+    if (end == j->text.c_str() || *end != '\0' || !std::isfinite(v)) {
       fail(std::string{"bad double in "} + key);
     }
   }
@@ -356,7 +362,10 @@ class FieldReader {
   [[nodiscard]] const std::string& error() const { return error_; }
 
  private:
+  // Decimal digits only: strtoull would also take a sign and wrap "-1"
+  // around to 2^64 - 1.
   static bool parse_u64(const std::string& text, std::uint64_t& v) {
+    if (text.empty() || text[0] < '0' || text[0] > '9') return false;
     errno = 0;
     char* end = nullptr;
     v = std::strtoull(text.c_str(), &end, 10);
@@ -455,6 +464,9 @@ std::optional<stats::RunResult> read_shard_json(const std::string& path,
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string text = buf.str();
+  // The writer ends every checkpoint with a newline, so a file without one
+  // was cut short, even where the cut leaves complete JSON.
+  if (text.empty() || text.back() != '\n') return fail(path + ": truncated");
   std::string parse_error;
   JsonParser parser{text};
   std::optional<Json> root = parser.parse(&parse_error);

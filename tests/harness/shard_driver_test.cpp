@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -156,6 +157,91 @@ TEST_F(ShardDriverTest, CheckpointRejectsMismatchAndCorruption) {
   EXPECT_FALSE(harness::read_shard_json(path, builder.experiment_name(), 0, &error)
                    .has_value());
   EXPECT_FALSE(error.empty());
+}
+
+// `text` with the value of its first `"key": value` pair replaced.
+std::string with_value(std::string text, const std::string& key, const std::string& value) {
+  const std::string tag = "\"" + key + "\": ";
+  const std::size_t at = text.find(tag);
+  if (at == std::string::npos) return text;
+  const std::size_t begin = at + tag.size();
+  return text.replace(begin, text.find_first_of(",}\n", begin) - begin, value);
+}
+
+// Values the parser once accepted and then wrapped, clamped or took the
+// first of: each must now read as corrupt, naming the field.
+TEST_F(ShardDriverTest, CheckpointRejectsSignsOverflowDuplicatesAndInfinity) {
+  const harness::ExperimentBuilder builder = tests::make_probe_builder();
+  const std::string path = path_in("shard_0.json");
+  ASSERT_TRUE(harness::write_shard_json(path, builder.experiment_name(), 0,
+                                        builder.cell_id(0), builder.run_cell(0)));
+  const std::string good = read_file(path);
+  struct Case {
+    const char* key;
+    const char* bad_value;
+    const char* error;  // expected in the reader's message
+  };
+  const Case cases[] = {
+      {"crashes", "-1", "bad u64 in crashes"},
+      {"packets_sent", "4294967396", "u32 out of range in packets_sent"},
+      {"node", "4294967303", "u32 out of range in node"},
+      {"sessions", "1, \"sessions\": 2", "duplicate key \"sessions\""},
+      {"node_down_s", "1e999", "bad double in node_down_s"},
+  };
+  for (const Case& c : cases) {
+    const std::string bad = with_value(good, c.key, c.bad_value);
+    ASSERT_NE(bad, good) << c.key;
+    std::ofstream{path, std::ios::trunc | std::ios::binary} << bad;
+    std::string error;
+    EXPECT_FALSE(harness::read_shard_json(path, builder.experiment_name(), 0, &error)
+                     .has_value())
+        << c.key << ": " << c.bad_value;
+    EXPECT_NE(error.find(c.error), std::string::npos) << c.key << ": " << error;
+  }
+}
+
+// Seeded mutations of a real checkpoint. The parser must never crash (the
+// ASan+UBSan job runs this too) and never accept a file cut short at any
+// length or carrying a key twice; a flipped byte may still parse when it
+// lands inside a digit.
+TEST_F(ShardDriverTest, CheckpointParserSurvivesMutations) {
+  const harness::ExperimentBuilder builder = tests::make_probe_builder();
+  const std::string path = path_in("shard_0.json");
+  ASSERT_TRUE(harness::write_shard_json(path, builder.experiment_name(), 0,
+                                        builder.cell_id(0), builder.run_cell(0)));
+  const std::string good = read_file(path);
+  const auto accepts = [&](const std::string& text) {
+    std::ofstream{path, std::ios::trunc | std::ios::binary} << text;
+    return harness::read_shard_json(path, builder.experiment_name(), 0).has_value();
+  };
+  ASSERT_TRUE(accepts(good));
+
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    EXPECT_FALSE(accepts(good.substr(0, n))) << "truncated to " << n << " bytes";
+  }
+
+  // Every `"key": <scalar>` pair, repeated in place.
+  std::size_t duplicated = 0;
+  for (std::size_t colon = good.find("\": "); colon != std::string::npos;
+       colon = good.find("\": ", colon + 1)) {
+    const std::size_t value = colon + 3;
+    if (good[value] == '[' || good[value] == '{') continue;
+    const std::size_t key = good.rfind('"', colon - 1);
+    const std::string pair = good.substr(key, good.find_first_of(",}\n", value) - key);
+    std::string twice = good;
+    twice.insert(key, pair + ", ");
+    EXPECT_FALSE(accepts(twice)) << "duplicated " << pair;
+    ++duplicated;
+  }
+  EXPECT_GT(duplicated, 60u);
+
+  std::mt19937_64 rng{20261017};
+  for (int i = 0; i < 4000; ++i) {
+    std::string flipped = good;
+    const std::size_t at = rng() % flipped.size();
+    flipped[at] = static_cast<char>(flipped[at] ^ (1 << (rng() % 8)));
+    (void)accepts(flipped);
+  }
 }
 
 TEST_F(ShardDriverTest, AtomicFileCommitsOrLeavesNothing) {
