@@ -13,81 +13,18 @@
 // Usage: figure_adversary [--smoke] [--protocols=name,name]
 //   --smoke shrinks the grid for CI: 2 modes x {0, 0.2, 0.35} x both
 //   isolation settings over {flooding_gossip, maodv_gossip}, 120 s runs.
-#include <chrono>
 #include <cstdio>
-#include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "figure_common.h"
-#include "harness/atomic_io.h"
 
 namespace {
 
 // Per-series fields in BENCH_adversary.json (and the progress lines).
 constexpr ag::stats::Groups kGroups = ag::stats::groups_of(
     ag::stats::Group::summary, ag::stats::Group::core, ag::stats::Group::adversary);
-
-struct CellReport {
-  std::string label;
-  std::string mode;
-  bool isolation;
-  double fraction;
-  std::size_t nodes;
-  double wall_s;
-  std::uint64_t sim_events;
-  ag::harness::ExperimentResult result;  // one point per series
-};
-
-std::uint64_t total_sim_events(const ag::harness::ExperimentResult& result) {
-  // Effective (engine-independent) count: events executed plus the work
-  // the batched MAC/phy engines represented without an event, so the
-  // emitted JSON is byte-identical across every AG_BATCHED_* mode.
-  std::uint64_t events = 0;
-  for (const ag::harness::FigureSeries& s : result.series) {
-    for (const ag::harness::SeriesPoint& p : s.points) {
-      for (const ag::stats::RunResult& r : p.runs) {
-        events += r.totals.sim_events + r.totals.mac_events_elided() +
-                  r.totals.phy_events_elided();
-      }
-    }
-  }
-  return events;
-}
-
-bool write_adversary_json(const std::string& path,
-                          const std::vector<CellReport>& cells,
-                          std::uint32_t seeds) {
-  ag::harness::AtomicFile file{path};
-  if (!file.ok()) return false;
-  std::ostream& out = file.stream();
-  out << "{\n";
-  out << "  \"experiment\": \"adversary\",\n";
-  out << "  \"param\": \"adversary_fraction\",\n";
-  out << "  \"seeds\": " << seeds << ",\n";
-  out << "  \"points\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellReport& cell = cells[i];
-    const double events_per_sec =
-        cell.wall_s > 0.0 ? static_cast<double>(cell.sim_events) / cell.wall_s : 0.0;
-    out << "    {\"label\": \"" << cell.label << "\", \"nodes\": " << cell.nodes
-        << ", \"mode\": \"" << cell.mode << "\""
-        << ", \"isolation\": " << (cell.isolation ? "true" : "false")
-        << ", \"adversary_fraction\": " << cell.fraction
-        << ", \"wall_clock_s\": " << cell.wall_s
-        << ", \"sim_events\": " << cell.sim_events
-        << ", \"events_per_sec\": " << events_per_sec << ", \"series\": [\n";
-    for (std::size_t s = 0; s < cell.result.series.size(); ++s) {
-      out << "      ";
-      ag::bench::write_series_line(out, cell.result.series[s], kGroups);
-      out << (s + 1 < cell.result.series.size() ? "," : "") << "\n";
-    }
-    out << "    ]}" << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n";
-  out << "}\n";
-  return file.commit();
-}
 
 }  // namespace
 
@@ -157,7 +94,7 @@ int main(int argc, char** argv) {
 
   std::printf("== Adversary axis x trust isolation ==\n");
 
-  std::vector<CellReport> cells;
+  std::vector<bench::TimedCell> cells;
   for (const Mode& mode : modes) {
     for (const bool isolation : {false, true}) {
       for (const double fraction : fractions) {
@@ -190,29 +127,19 @@ int main(int argc, char** argv) {
                       mode.name, isolation ? "on" : "off", fraction);
         std::printf("-- %s --\n", label);
         std::fflush(stdout);
-        // ag-lint: allow(determinism, wall-clock measures the harness itself)
-        const auto t0 = std::chrono::steady_clock::now();
-        harness::ExperimentResult result =
-            harness::Experiment::sweep("adversary_fraction", {fraction})
-                .base(cell_base)
-                .protocols(protocols)
-                .seeds(seeds)
-                .parallel()
-                .name("adversary")
-                .run();
-        const double wall_s =
-            // ag-lint: allow(determinism, wall-clock measures the harness itself)
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
-        for (const harness::FigureSeries& s : result.series) {
-          std::cout << "  ";
-          bench::write_series_line(std::cout, s, kGroups);
-          std::cout << "\n";
-        }
-        std::fflush(stdout);
-        const std::uint64_t events = total_sim_events(result);
-        cells.push_back({label, mode.name, isolation, fraction,
-                         cell_base.node_count, wall_s, events, std::move(result)});
+        std::ostringstream keys;
+        keys << "\"label\": \"" << label << "\", \"nodes\": " << cell_base.node_count
+             << ", \"mode\": \"" << mode.name << "\""
+             << ", \"isolation\": " << (isolation ? "true" : "false")
+             << ", \"adversary_fraction\": " << fraction;
+        cells.push_back(bench::run_timed_cell(
+            keys.str(), harness::Experiment::sweep("adversary_fraction", {fraction})
+                            .base(cell_base)
+                            .protocols(protocols)
+                            .seeds(seeds)
+                            .parallel()
+                            .name("adversary")));
+        bench::print_series_lines(cells.back().result, kGroups);
       }
     }
   }
@@ -221,7 +148,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: interrupted; no outputs written\n", argv[0]);
     return harness::interrupt_exit_code();
   }
-  if (!write_adversary_json("BENCH_adversary.json", cells, seeds)) {
+  std::ostringstream keys;
+  keys << "  \"experiment\": \"adversary\",\n"
+       << "  \"param\": \"adversary_fraction\",\n"
+       << "  \"seeds\": " << seeds << ",\n";
+  if (!bench::write_cells_json("BENCH_adversary.json", keys.str(), cells, kGroups)) {
     std::fprintf(stderr, "error: failed to write BENCH_adversary.json\n");
     return 1;
   }

@@ -14,17 +14,20 @@
 #ifndef AG_BENCH_FIGURE_COMMON_H
 #define AG_BENCH_FIGURE_COMMON_H
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <functional>
+#include <iostream>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "harness/atomic_io.h"
 #include "harness/experiment_builder.h"
 #include "harness/figure.h"
 #include "harness/interrupt.h"
@@ -32,6 +35,7 @@
 #include "harness/scenario.h"
 #include "harness/shard.h"
 #include "harness/shard_driver.h"
+#include "sim/event_category.h"
 
 namespace ag::bench {
 
@@ -68,13 +72,132 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-// One series of a one-value sweep (the cell benches: scale_smoke,
-// figure_dtn, figure_adversary) as `{"name": ..., <fields of groups>}`.
+// --- cell figures: scale_smoke, figure_dtn, figure_adversary -------------
+//
+// A cell figure runs a grid of cells, each a one-value sweep over the
+// protocols, timed. Its BENCH json holds the file-level keys, then per
+// cell the cell-level keys, a `timing` object and one object per series.
+// Everything host- or engine-dependent sits in `timing`, so outside it a
+// cell file is identical across hosts and across the AG_BATCHED_* modes.
+struct TimedCell {
+  std::string keys;  // cell-level JSON keys, rendered by the bench
+  double wall_s{0.0};
+  harness::ExperimentResult result;
+};
+
+// Runs `builder` as one cell; the wall clock covers all its parallel jobs.
+inline TimedCell run_timed_cell(std::string keys, const harness::ExperimentBuilder& builder) {
+  // ag-lint: allow(determinism, wall-clock measures the harness itself)
+  const auto t0 = std::chrono::steady_clock::now();
+  harness::ExperimentResult result = builder.run();
+  const double wall_s =
+      // ag-lint: allow(determinism, wall-clock measures the harness itself)
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  return {std::move(keys), wall_s, std::move(result)};
+}
+
+// Events a cell's runs executed, per category and in total, plus the
+// events the batched MAC and phy engines represented without executing
+// them. Executed plus elided is the engine-independent effective count.
+struct EventWork {
+  std::uint64_t scheduled[sim::kEventCategoryCount]{};
+  std::uint64_t executed[sim::kEventCategoryCount]{};
+  std::uint64_t sim_events{0};
+  std::uint64_t slots_elided{0};
+  std::uint64_t difs_elided{0};
+  std::uint64_t rx_elided{0};
+  std::uint64_t rx_coalesced{0};
+
+  [[nodiscard]] std::uint64_t effective() const {
+    return sim_events + slots_elided + difs_elided + rx_elided + rx_coalesced;
+  }
+};
+
+inline EventWork event_work(const harness::ExperimentResult& result) {
+  EventWork w;
+  for (const harness::FigureSeries& s : result.series) {
+    for (const harness::SeriesPoint& p : s.points) {
+      for (const stats::RunResult& r : p.runs) {
+        for (std::size_t c = 0; c < sim::kEventCategoryCount; ++c) {
+          w.scheduled[c] += r.totals.ev_scheduled[c];
+          w.executed[c] += r.totals.ev_executed[c];
+        }
+        w.sim_events += r.totals.sim_events;
+        w.slots_elided += r.totals.mac_slots_elided();
+        w.difs_elided += r.totals.mac_difs_elided;
+        w.rx_elided += r.totals.phy_rx_elided;
+        w.rx_coalesced += r.totals.phy_rx_coalesced;
+      }
+    }
+  }
+  return w;
+}
+
+// `"timing": {...}`: the cell's wall clock, its event work and the rates.
+inline void write_timing(std::ostream& out, const TimedCell& cell) {
+  const EventWork w = event_work(cell.result);
+  const auto per_sec = [&cell](std::uint64_t events) {
+    return cell.wall_s > 0.0 ? static_cast<double>(events) / cell.wall_s : 0.0;
+  };
+  out << "\"timing\": {\"wall_clock_s\": " << cell.wall_s
+      << ", \"sim_events\": " << w.sim_events
+      << ", \"events_per_sec\": " << per_sec(w.sim_events)
+      << ", \"mac_slots_elided\": " << w.slots_elided
+      << ", \"mac_difs_elided\": " << w.difs_elided
+      << ", \"phy_rx_elided\": " << w.rx_elided
+      << ", \"phy_rx_coalesced\": " << w.rx_coalesced
+      << ", \"effective_events\": " << w.effective()
+      << ", \"effective_events_per_sec\": " << per_sec(w.effective())
+      << ", \"event_mix\": {";
+  for (std::size_t c = 0; c < sim::kEventCategoryCount; ++c) {
+    out << (c > 0 ? ", " : "") << "\"" << sim::event_category_name(c)
+        << "\": {\"scheduled\": " << w.scheduled[c]
+        << ", \"executed\": " << w.executed[c] << "}";
+  }
+  out << "}}";
+}
+
+// One series of a cell as `{"name": ..., <fields of groups>}`.
 inline void write_series_line(std::ostream& out, const harness::FigureSeries& s,
                               stats::Groups groups) {
   out << "{\"name\": \"" << harness::json_escaped(s.name) << "\"";
   harness::write_point_fields(out, s.points.front(), groups);
   out << "}";
+}
+
+// A cell's progress output: its series lines as the BENCH json has them.
+inline void print_series_lines(const harness::ExperimentResult& result,
+                               stats::Groups groups) {
+  for (const harness::FigureSeries& s : result.series) {
+    std::cout << "  ";
+    write_series_line(std::cout, s, groups);
+    std::cout << "\n";
+  }
+  std::cout.flush();
+}
+
+// Writes a cell figure's BENCH json (atomically): the file-level `keys`,
+// then every cell's keys, timing and series fields of `groups`.
+inline bool write_cells_json(const std::string& path, const std::string& keys,
+                             const std::vector<TimedCell>& cells, stats::Groups groups) {
+  harness::AtomicFile file{path};
+  if (!file.ok()) return false;
+  std::ostream& out = file.stream();
+  out << "{\n" << keys << "  \"points\": [\n";
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    out << "    {" << cells[i].keys << ", ";
+    write_timing(out, cells[i]);
+    out << ", \"series\": [\n";
+    const std::vector<harness::FigureSeries>& series = cells[i].result.series;
+    for (std::size_t s = 0; s < series.size(); ++s) {
+      out << "      ";
+      write_series_line(out, series[s], groups);
+      out << (s + 1 < series.size() ? "," : "") << "\n";
+    }
+    out << "    ]}" << (i + 1 < cells.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n}\n";
+  return file.commit();
 }
 
 // Shared --help/-h implementation for every figure bench: one place lists

@@ -24,20 +24,18 @@
 //
 // Usage: scale_smoke [--protocols=name,name] [--nodes=n,n,...]
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "figure_common.h"
-#include "harness/atomic_io.h"
 #include "mac/csma_mac.h"
 #include "net/data_plane.h"
 #include "phy/channel.h"
-#include "sim/event_category.h"
 
 namespace {
 
@@ -96,18 +94,6 @@ std::vector<std::size_t> nodes_from_cli(int argc, char** argv,
   return fallback;
 }
 
-// Per-category scheduled/executed event counts plus the work the
-// analytic engines elided (MAC slot/DIFS events, phy reception
-// completions), summed over every run of a point.
-struct EventMixTotals {
-  std::uint64_t scheduled[ag::sim::kEventCategoryCount]{};
-  std::uint64_t executed[ag::sim::kEventCategoryCount]{};
-  std::uint64_t slots_elided{0};
-  std::uint64_t difs_elided{0};
-  std::uint64_t phy_rx_elided{0};
-  std::uint64_t phy_rx_coalesced{0};
-};
-
 // Node-seconds ceiling: the full-length duration times the largest node
 // count that still runs it (see the header comment).
 constexpr double kFullDurationS = 80.0;
@@ -116,105 +102,6 @@ constexpr double kMaxNodeSeconds = 1000.0 * kFullDurationS;
 // Per-series fields in BENCH_scale.json.
 constexpr ag::stats::Groups kGroups = ag::stats::groups_of(
     ag::stats::Group::summary, ag::stats::Group::core, ag::stats::Group::phy_work);
-
-struct PointReport {
-  std::size_t nodes;
-  double duration_s;
-  double wall_s;
-  std::uint64_t sim_events;
-  EventMixTotals mix;
-  ag::harness::ExperimentResult result;  // one sweep value, one point per series
-};
-
-std::uint64_t total_sim_events(const ag::harness::ExperimentResult& result) {
-  std::uint64_t events = 0;
-  for (const ag::harness::FigureSeries& s : result.series) {
-    for (const ag::harness::SeriesPoint& p : s.points) {
-      for (const ag::stats::RunResult& r : p.runs) events += r.totals.sim_events;
-    }
-  }
-  return events;
-}
-
-EventMixTotals total_event_mix(const ag::harness::ExperimentResult& result) {
-  EventMixTotals mix;
-  for (const ag::harness::FigureSeries& s : result.series) {
-    for (const ag::harness::SeriesPoint& p : s.points) {
-      for (const ag::stats::RunResult& r : p.runs) {
-        for (std::size_t c = 0; c < ag::sim::kEventCategoryCount; ++c) {
-          mix.scheduled[c] += r.totals.ev_scheduled[c];
-          mix.executed[c] += r.totals.ev_executed[c];
-        }
-        mix.slots_elided += r.totals.mac_slots_elided();
-        mix.difs_elided += r.totals.mac_difs_elided;
-        mix.phy_rx_elided += r.totals.phy_rx_elided;
-        mix.phy_rx_coalesced += r.totals.phy_rx_coalesced;
-      }
-    }
-  }
-  return mix;
-}
-
-bool write_scale_json(const std::string& path, const std::vector<PointReport>& reports,
-                      std::uint32_t seeds, bool index_on) {
-  ag::harness::AtomicFile file{path};
-  if (!file.ok()) return false;
-  std::ostream& out = file.stream();
-  out << "{\n";
-  out << "  \"experiment\": \"scale_smoke\",\n";
-  out << "  \"param\": \"node_count\",\n";
-  out << "  \"seeds\": " << seeds << ",\n";
-  out << "  \"spatial_index\": " << (index_on ? "true" : "false") << ",\n";
-  out << "  \"dense_tables\": " << (ag::net::dense_tables_enabled() ? "true" : "false")
-      << ",\n";
-  out << "  \"batched_backoff\": "
-      << (ag::mac::batched_backoff_enabled() ? "true" : "false") << ",\n";
-  out << "  \"batched_phy\": "
-      << (ag::phy::batched_phy_enabled() ? "true" : "false") << ",\n";
-  out << "  \"points\": [\n";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const PointReport& rep = reports[i];
-    const double events_per_sec =
-        rep.wall_s > 0.0 ? static_cast<double>(rep.sim_events) / rep.wall_s : 0.0;
-    // Mode-comparable throughput: elided backoff slots, absorbed DIFS
-    // waits, and reception completions the batched phy resolved without
-    // an event all represent the same simulated work whether or not they
-    // became events, so adding them back makes every engine combination
-    // directly comparable (and the rates coincide when nothing is
-    // elided).
-    const std::uint64_t effective_events =
-        rep.sim_events + rep.mix.slots_elided + rep.mix.difs_elided +
-        rep.mix.phy_rx_elided + rep.mix.phy_rx_coalesced;
-    const double effective_per_sec =
-        rep.wall_s > 0.0 ? static_cast<double>(effective_events) / rep.wall_s : 0.0;
-    out << "    {\"nodes\": " << rep.nodes << ", \"sim_duration_s\": " << rep.duration_s
-        << ", \"wall_clock_s\": " << rep.wall_s
-        << ", \"sim_events\": " << rep.sim_events
-        << ", \"events_per_sec\": " << events_per_sec
-        << ", \"mac_slots_elided\": " << rep.mix.slots_elided
-        << ", \"mac_difs_elided\": " << rep.mix.difs_elided
-        << ", \"phy_rx_elided\": " << rep.mix.phy_rx_elided
-        << ", \"phy_rx_coalesced\": " << rep.mix.phy_rx_coalesced
-        << ", \"effective_events\": " << effective_events
-        << ", \"effective_events_per_sec\": " << effective_per_sec
-        << ", \"event_mix\": {";
-    for (std::size_t c = 0; c < ag::sim::kEventCategoryCount; ++c) {
-      out << (c > 0 ? ", " : "") << "\"" << ag::sim::event_category_name(c)
-          << "\": {\"scheduled\": " << rep.mix.scheduled[c]
-          << ", \"executed\": " << rep.mix.executed[c] << "}";
-    }
-    out << "}, \"series\": [\n";
-    for (std::size_t s = 0; s < rep.result.series.size(); ++s) {
-      out << "      ";
-      ag::bench::write_series_line(out, rep.result.series[s], kGroups);
-      out << (s + 1 < rep.result.series.size() ? "," : "") << "\n";
-    }
-    out << "    ]}" << (i + 1 < reports.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n";
-  out << "}\n";
-  return file.commit();
-}
 
 }  // namespace
 
@@ -237,7 +124,7 @@ int main(int argc, char** argv) {
   std::printf("%-8s %-7s %-10s %-12s %-12s per-protocol received avg (delivery)\n",
               "#nodes", "sim(s)", "wall(s)", "sim events", "events/s");
 
-  std::vector<PointReport> reports;
+  std::vector<bench::TimedCell> cells;
   for (const std::size_t n : node_counts) {
     if (harness::interrupt_requested()) {
       std::fprintf(stderr, "%s: interrupted; no outputs written\n", argv[0]);
@@ -251,9 +138,10 @@ int main(int argc, char** argv) {
     point_base.duration = sim::SimTime::seconds(duration_s);
     point_base.workload.start = sim::SimTime::seconds(0.25 * duration_s);
     point_base.workload.end = sim::SimTime::seconds(0.75 * duration_s);
-    // ag-lint: allow(determinism, wall-clock measures the harness itself)
-    const auto t0 = std::chrono::steady_clock::now();
-    harness::ExperimentResult result =
+    std::ostringstream keys;
+    keys << "\"nodes\": " << n << ", \"sim_duration_s\": " << duration_s;
+    cells.push_back(bench::run_timed_cell(
+        keys.str(),
         harness::Experiment::sweep("node_count", {static_cast<double>(n)},
                                    [](harness::ScenarioConfig& c, double x) {
                                      c.with_nodes(static_cast<std::size_t>(x))
@@ -265,32 +153,35 @@ int main(int argc, char** argv) {
             .protocols(protocols)
             .seeds(seeds)
             .parallel()
-            .name("scale_smoke")
-            .run();
-    const double wall_s =
-        // ag-lint: allow(determinism, wall-clock measures the harness itself)
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    const std::uint64_t events = total_sim_events(result);
-    EventMixTotals mix = total_event_mix(result);
-
+            .name("scale_smoke")));
+    const bench::TimedCell& cell = cells.back();
+    const std::uint64_t events = bench::event_work(cell.result).sim_events;
     std::printf("%-8zu %-7.0f %-10.2f %-12llu %-12.3g",
-                n, duration_s, wall_s, static_cast<unsigned long long>(events),
-                wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0);
-    for (const harness::FigureSeries& s : result.series) {
+                n, duration_s, cell.wall_s, static_cast<unsigned long long>(events),
+                cell.wall_s > 0.0 ? static_cast<double>(events) / cell.wall_s : 0.0);
+    for (const harness::FigureSeries& s : cell.result.series) {
       const harness::SeriesPoint& p = s.points.front();
       std::printf("  %s=%.1f (%.2f)", s.name.c_str(), p.received.mean,
                   p.mean("delivery_ratio"));
     }
     std::printf("\n");
     std::fflush(stdout);
-    reports.push_back({n, duration_s, wall_s, events, mix, std::move(result)});
   }
 
   if (harness::interrupt_requested()) {
     std::fprintf(stderr, "%s: interrupted; no outputs written\n", argv[0]);
     return harness::interrupt_exit_code();
   }
-  if (!write_scale_json("BENCH_scale.json", reports, seeds, index_on)) {
+  std::ostringstream keys;
+  keys << "  \"experiment\": \"scale_smoke\",\n"
+       << "  \"param\": \"node_count\",\n"
+       << "  \"seeds\": " << seeds << ",\n"
+       << "  \"spatial_index\": " << (index_on ? "true" : "false") << ",\n"
+       << "  \"dense_tables\": " << (net::dense_tables_enabled() ? "true" : "false") << ",\n"
+       << "  \"batched_backoff\": " << (mac::batched_backoff_enabled() ? "true" : "false")
+       << ",\n"
+       << "  \"batched_phy\": " << (phy::batched_phy_enabled() ? "true" : "false") << ",\n";
+  if (!bench::write_cells_json("BENCH_scale.json", keys.str(), cells, kGroups)) {
     std::fprintf(stderr, "error: failed to write BENCH_scale.json\n");
     return 1;
   }

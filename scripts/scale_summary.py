@@ -12,11 +12,15 @@ an em-dash placeholder when it does not (every pre-custody BENCH file);
 the "trust iso/fp" column does the same for the adversary axis' isolation
 and false-positive counts (BENCH_adversary.json only).
 
+Wall clock, event counts, rates and the event mix live in each point's
+`timing` object; files written before it existed keep them on the point.
+
 Runs under `if: always()`, so it must exit 0 and print something
 readable for every degraded input: missing file, truncated JSON, a
 non-object payload, points that are missing keys (the wall-clock budget
-can kill scale_smoke mid-sweep), or points without event_mix (older
-BENCH files predate the per-category accounting).
+can kill scale_smoke mid-sweep), a `timing` that is not an object, or
+points without event_mix (older BENCH files predate the per-category
+accounting).
 
 Usage: scale_summary.py BENCH_scale.json
        scale_summary.py BENCH_dtn.json
@@ -67,6 +71,13 @@ def _fmt_trust(point):
         if "trust_isolations" in s
     ]
     return ", ".join(parts) if parts else "—"
+
+
+def _timing(point):
+    """The point's host- and engine-dependent values (the point itself for
+    files that predate the `timing` object)."""
+    timing = point.get("timing", point)
+    return timing if isinstance(timing, dict) else {}
 
 
 def _point_label(point):
@@ -145,17 +156,18 @@ def main() -> int:
         # the schema changed) — keep the table well-formed either way.
         print("| _no points recorded_ | — | — | — | — | — | — | — | — | — |")
     for point in points:
+        timing = _timing(point)
         # MAC slot/DIFS elision plus the phy receptions the batched
         # delivery engine resolved without their own event (elided
         # outright or coalesced into a group sweep).
         elided = (
-            _num(point.get("mac_slots_elided"))
-            + _num(point.get("mac_difs_elided"))
-            + _num(point.get("phy_rx_elided"))
-            + _num(point.get("phy_rx_coalesced"))
+            _num(timing.get("mac_slots_elided"))
+            + _num(timing.get("mac_difs_elided"))
+            + _num(timing.get("phy_rx_elided"))
+            + _num(timing.get("phy_rx_coalesced"))
         )
         effective = _num(
-            point.get("effective_events_per_sec"), _num(point.get("events_per_sec"))
+            timing.get("effective_events_per_sec"), _num(timing.get("events_per_sec"))
         )
         # Simulated seconds per point (scale_smoke caps node-seconds, so
         # huge points run shorter); absent from dtn/older BENCH files.
@@ -164,9 +176,9 @@ def main() -> int:
         print(
             f"| {_point_label(point)} "
             f"| {sim_cell} "
-            f"| {_num(point.get('wall_clock_s')):.2f} "
-            f"| {_num(point.get('sim_events')):,} "
-            f"| {_num(point.get('events_per_sec')):,.0f} "
+            f"| {_num(timing.get('wall_clock_s')):.2f} "
+            f"| {_num(timing.get('sim_events')):,} "
+            f"| {_num(timing.get('events_per_sec')):,.0f} "
             f"| {elided:,} "
             f"| {effective:,.0f} "
             f"| {_fmt_protocols(point)} "
@@ -180,7 +192,7 @@ def main() -> int:
     # instead of asserting the full schema.
     categories = []
     for point in points:
-        mix = point.get("event_mix")
+        mix = _timing(point).get("event_mix")
         if not isinstance(mix, dict):
             continue
         for name in mix:
@@ -192,16 +204,17 @@ def main() -> int:
         print(f"| point | {header} |")
         print("|:------|" + "|".join("---:" for _ in categories) + "|")
         for point in points:
-            mix = point.get("event_mix")
+            timing = _timing(point)
+            mix = timing.get("event_mix")
             if not isinstance(mix, dict):
                 mix = {}
-            total = max(int(_num(point.get("sim_events"))), 1)
+            total = max(int(_num(timing.get("sim_events"))), 1)
             cells = []
             for name in categories:
                 entry = mix.get(name)
                 executed = int(_num(entry.get("executed"))) if isinstance(entry, dict) else 0
                 cells.append(f"{executed:,} ({100.0 * executed / total:.0f}%)")
-            print(f"| {point.get('nodes', '?')} | " + " | ".join(cells) + " |")
+            print(f"| {_point_label(point)} | " + " | ".join(cells) + " |")
     elif points:
         print("\n_event_mix absent from every point (pre-PR-5 BENCH file?) — "
               "per-category table skipped_")
