@@ -98,7 +98,9 @@ inline TimedCell run_timed_cell(std::string keys, const harness::ExperimentBuild
 
 // Events a cell's runs executed, per category and in total, plus the
 // events the batched MAC and phy engines represented without executing
-// them. Executed plus elided is the engine-independent effective count.
+// them. Executed plus elided, the effective count, comes close to what the
+// reference engines execute but can differ from it by a few hundred
+// events, which is why it stays in `timing` too.
 struct EventWork {
   std::uint64_t scheduled[sim::kEventCategoryCount]{};
   std::uint64_t executed[sim::kEventCategoryCount]{};
@@ -229,6 +231,7 @@ inline void handle_help_flag(int argc, char** argv, const char* description,
       "  AG_SPATIAL_INDEX=off    brute-force phy neighbor scan\n"
       "  AG_DENSE_TABLES=off     ordered-map table backends\n"
       "  AG_BATCHED_BACKOFF=off  per-slot MAC contention reference engine\n"
+      "  AG_BATCHED_PHY=off      per-receiver phy delivery reference engine\n"
       "  AG_CUSTODY=off          force the DTN custody tier off\n"
       "  AG_ADVERSARY=off        force the adversary/trust axis off\n"
       "  AG_SHARDS=<n>           concurrent shard workers for --shards\n"
