@@ -52,7 +52,7 @@ template <typename... G>
 // How a sweep point folds its seeds' values of a field.
 enum class Fold : std::uint8_t {
   none,   // recorded per run (checkpoints) only; never averaged or printed
-  floor,  // integer mean, floor division of the sum by the seed count
+  floor,  // integer mean of a u64 field: its sum floor-divided by the seeds
   mean,   // mean as a double (doubles, ratios, counters whose fraction matters)
 };
 
