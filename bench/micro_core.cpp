@@ -3,9 +3,7 @@
 // events-per-second rate of a full protocol stack.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "gossip/history_table.h"
@@ -17,6 +15,7 @@
 #include "mobility/static_mobility.h"
 #include "phy/channel.h"
 #include "phy/radio.h"
+#include "reference/engines.h"
 #include "sim/event_category.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -130,18 +129,11 @@ BENCHMARK(BM_MemberCacheObserve);
 // Reports events per delivered frame (the elision metric: the per-slot
 // machine burns a tick event per backoff slot, the batched engine one
 // fused deadline per countdown) and the mac_slot share of all events.
-// Arg(1) = batched analytic engine (default), Arg(0) = per-slot
-// reference via AG_BATCHED_BACKOFF=off.
+// Arg(1) = fused analytic countdown (production), Arg(0) = the per-slot
+// oracle countdown from tests/reference/.
 void BM_SaturatedCellContention(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
-  // Save/restore any user-set engine choice so later benchmarks in this
-  // process still measure what the caller asked for.
-  // ag-lint: allow(env, A/B bench saves the caller's engine choice)
-  const char* prior_raw = getenv("AG_BATCHED_BACKOFF");
-  const std::string prior = prior_raw == nullptr ? "" : prior_raw;
-  const bool had_prior = prior_raw != nullptr;
-  // ag-lint: allow(env, A/B bench toggles the escape hatch per Arg)
-  setenv("AG_BATCHED_BACKOFF", batched ? "on" : "off", 1);
+  mac::MacParams params;
+  if (state.range(0) == 0) params.countdown = &reference::per_slot_countdown;
   constexpr std::size_t kNodes = 10;
   constexpr int kFramesPerNode = 40;
   std::uint64_t events = 0;
@@ -158,11 +150,11 @@ void BM_SaturatedCellContention(benchmark::State& state) {
     std::vector<std::unique_ptr<phy::Radio>> radios;
     std::vector<std::unique_ptr<mac::CsmaMac>> macs;
     for (std::size_t i = 0; i < kNodes; ++i) {
-      radios.push_back(std::make_unique<phy::Radio>(sim, channel, i));
+      radios.push_back(std::make_unique<phy::Radio>(channel, i));
       channel.attach(radios.back().get());
       macs.push_back(std::make_unique<mac::CsmaMac>(
           sim, *radios.back(), channel, net::NodeId{static_cast<std::uint32_t>(i)},
-          mac::MacParams{}, sim.rng().stream("mac", i)));
+          params, sim.rng().stream("mac", i)));
     }
     for (int f = 0; f < kFramesPerNode; ++f) {
       for (auto& m : macs) {
@@ -177,13 +169,6 @@ void BM_SaturatedCellContention(benchmark::State& state) {
     mac_slot_events +=
         sim.event_mix().executed[sim::category_index(sim::EventCategory::mac_slot)];
     for (auto& m : macs) delivered += m->counters().delivered_up;
-  }
-  if (had_prior) {
-    // ag-lint: allow(env, A/B bench restores the caller's engine choice)
-    setenv("AG_BATCHED_BACKOFF", prior.c_str(), 1);
-  } else {
-    // ag-lint: allow(env, A/B bench restores the caller's engine choice)
-    unsetenv("AG_BATCHED_BACKOFF");
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   if (delivered > 0) {
@@ -204,18 +189,11 @@ BENCHMARK(BM_SaturatedCellContention)->Arg(1)->Arg(0)->Unit(benchmark::kMillisec
 // with one completion event and elides doomed receptions outright. The
 // isolation bench for phy::BatchedPhy. Reports events per delivered
 // frame plus the elided/coalesced reception split. Arg(1) = batched
-// delivery engine (default), Arg(0) = per-receiver reference via
-// AG_BATCHED_PHY=off.
+// delivery engine (production), Arg(0) = the per-receiver oracle engine
+// from tests/reference/.
 void BM_DenseCellDeliveryStorm(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
-  // Save/restore any user-set engine choice so later benchmarks in this
-  // process still measure what the caller asked for.
-  // ag-lint: allow(env, A/B bench saves the caller's engine choice)
-  const char* prior_raw = getenv("AG_BATCHED_PHY");
-  const std::string prior = prior_raw == nullptr ? "" : prior_raw;
-  const bool had_prior = prior_raw != nullptr;
-  // ag-lint: allow(env, A/B bench toggles the escape hatch per Arg)
-  setenv("AG_BATCHED_PHY", batched ? "on" : "off", 1);
+  phy::PhyParams params{100.0, 2e6, 192.0, 3e8};
+  if (state.range(0) == 0) params.engine = &reference::per_receiver_phy;
   constexpr std::size_t kNodes = 24;
   constexpr int kFramesPerNode = 30;
   std::uint64_t events = 0;
@@ -230,11 +208,11 @@ void BM_DenseCellDeliveryStorm(benchmark::State& state) {
     }
     sim::Simulator sim;
     mobility::StaticMobility mobility{std::move(positions)};
-    phy::Channel channel{sim, mobility, phy::PhyParams{100.0, 2e6, 192.0, 3e8}};
+    phy::Channel channel{sim, mobility, params};
     std::vector<std::unique_ptr<phy::Radio>> radios;
     std::vector<std::unique_ptr<mac::CsmaMac>> macs;
     for (std::size_t i = 0; i < kNodes; ++i) {
-      radios.push_back(std::make_unique<phy::Radio>(sim, channel, i));
+      radios.push_back(std::make_unique<phy::Radio>(channel, i));
       channel.attach(radios.back().get());
       macs.push_back(std::make_unique<mac::CsmaMac>(
           sim, *radios.back(), channel, net::NodeId{static_cast<std::uint32_t>(i)},
@@ -253,13 +231,6 @@ void BM_DenseCellDeliveryStorm(benchmark::State& state) {
     rx_elided += channel.rx_elided();
     rx_coalesced += channel.rx_coalesced();
     for (auto& m : macs) delivered += m->counters().delivered_up;
-  }
-  if (had_prior) {
-    // ag-lint: allow(env, A/B bench restores the caller's engine choice)
-    setenv("AG_BATCHED_PHY", prior.c_str(), 1);
-  } else {
-    // ag-lint: allow(env, A/B bench restores the caller's engine choice)
-    unsetenv("AG_BATCHED_PHY");
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   if (delivered > 0) {

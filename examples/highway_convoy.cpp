@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < kVehicles; ++i) {
     auto v = std::make_unique<Vehicle>();
     const net::NodeId id{static_cast<std::uint32_t>(i)};
-    v->radio = std::make_unique<phy::Radio>(sim, channel, i);
+    v->radio = std::make_unique<phy::Radio>(channel, i);
     channel.attach(v->radio.get());
     v->mac = std::make_unique<mac::CsmaMac>(sim, *v->radio, channel, id,
                                             mac::MacParams{}, sim.rng().stream("mac", i));

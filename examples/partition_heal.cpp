@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < positions.size(); ++i) {
     auto n = std::make_unique<Node>();
     const net::NodeId id{static_cast<std::uint32_t>(i)};
-    n->radio = std::make_unique<phy::Radio>(sim, channel, i);
+    n->radio = std::make_unique<phy::Radio>(channel, i);
     channel.attach(n->radio.get());
     n->mac = std::make_unique<mac::CsmaMac>(sim, *n->radio, channel, id,
                                             mac::MacParams{}, sim.rng().stream("mac", i));

@@ -12,8 +12,7 @@
 namespace ag::dtn {
 
 struct CustodyParams {
-  // Master switch. The AG_CUSTODY=off environment hatch (read by the
-  // harness through sim/env.h) forces this off process-wide.
+  // Master switch: off builds the exact pre-custody stack.
   bool enabled{false};
 
   // Store budgets: a node holds at most max_messages payloads totalling at

@@ -68,9 +68,9 @@
 //
 // Determinism: role assignment is synthesized on the dedicated
 // "adversary" rng stream (fault_plan.h); the only in-run randomness is
-// selective_forward's per-node "adversary_drop" stream. AG_ADVERSARY=off
-// rebuilds the exact pre-adversary stack (harness::Network skips the
-// decorator entirely).
+// selective_forward's per-node "adversary_drop" stream. With no roles and
+// trust off, harness::Network skips the decorator entirely: the exact
+// pre-adversary stack.
 #ifndef AG_FAULTS_ADVERSARY_H
 #define AG_FAULTS_ADVERSARY_H
 

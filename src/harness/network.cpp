@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "harness/protocol_registry.h"
-#include "sim/env.h"
 
 namespace ag::harness {
 
@@ -26,13 +25,11 @@ Network::Network(const ScenarioConfig& config)
                             config_.duration.to_seconds(), sim_.rng().stream("faults"));
   }
   // Adversary axis: resolved the same way (scripted roles plus synthesis
-  // on its own dedicated stream), gated by the AG_ADVERSARY hatch. Off —
-  // by hatch or by an unarmed config — the stack built below is exactly
-  // the pre-adversary one: no decorator, no sniffer, no extra stream use.
-  const bool adversary_on =
-      (config_.faults.spec.adversaries_any() || !plan.adversaries.empty() ||
-       config_.trust.enabled) &&
-      !sim::env_flag_off("AG_ADVERSARY");
+  // on its own dedicated stream). Unarmed — no roles and trust off — the
+  // stack built below is exactly the pre-adversary one: no decorator, no
+  // sniffer, no extra stream use.
+  const bool adversary_on = config_.faults.spec.adversaries_any() ||
+                            !plan.adversaries.empty() || config_.trust.enabled;
   if (adversary_on && config_.faults.spec.adversaries_any()) {
     faults::synthesize_adversaries_into(plan, config_.faults.spec,
                                         config_.node_count, source_index(),
@@ -54,9 +51,9 @@ Network::Network(const ScenarioConfig& config)
   const std::size_t members = config_.member_count();
 
   // DTN custody tier: decorator + contact monitor, built only when the
-  // scenario asks for it AND the AG_CUSTODY=off hatch is not set. Off, the
-  // stack below is exactly the pre-custody one.
-  const bool custody_on = config_.custody.enabled && !sim::env_flag_off("AG_CUSTODY");
+  // scenario asks for it. Off, the stack below is exactly the pre-custody
+  // one.
+  const bool custody_on = config_.custody.enabled;
   if (custody_on) {
     custody_.assign(config_.node_count, nullptr);
     gateway_.assign(config_.node_count, 0);
@@ -71,7 +68,7 @@ Network::Network(const ScenarioConfig& config)
   for (std::size_t i = 0; i < config_.node_count; ++i) {
     auto stack = std::make_unique<NodeStack>();
     const net::NodeId id{static_cast<std::uint32_t>(i)};
-    stack->radio = std::make_unique<phy::Radio>(sim_, *channel_, i);
+    stack->radio = std::make_unique<phy::Radio>(*channel_, i);
     channel_->attach(stack->radio.get());
     stack->mac = std::make_unique<mac::CsmaMac>(sim_, *stack->radio, *channel_, id,
                                                 config_.mac, sim_.rng().stream("mac", i));
@@ -339,8 +336,8 @@ stats::RunResult Network::result() const {
   for (const auto& s : stacks_) {
     t.mac_unicast += s->mac->counters().unicast_sent;
     t.mac_broadcast += s->mac->counters().broadcast_sent;
-    t.mac_backoff_slots_credited += s->mac->counters().backoff_slots_credited;
-    t.mac_difs_elided += s->mac->counters().difs_events_elided;
+    t.mac_backoff_slots_credited += s->mac->countdown().counters().backoff_slots_credited;
+    t.mac_difs_elided += s->mac->countdown().counters().difs_events_elided;
     t.mac_collisions += s->radio->counters().frames_corrupted;
     t.mac_queue_drops += s->mac->counters().queue_drops;
     const auto& g = s->agent->counters();

@@ -68,8 +68,7 @@ class Network {
   // The fault injector driving this run, or nullptr when the effective
   // plan is empty (the common, zero-cost case).
   [[nodiscard]] faults::FaultInjector* fault_injector() { return injector_.get(); }
-  // Node i's custody decorator, or nullptr when custody is off (config
-  // disabled or the AG_CUSTODY=off hatch).
+  // Node i's custody decorator, or nullptr when custody is off.
   [[nodiscard]] dtn::CustodyRouter* custody(std::size_t i) {
     return custody_.empty() ? nullptr : custody_[i];
   }
@@ -82,7 +81,7 @@ class Network {
     return stacks_[i]->sessions.get();
   }
   // Node i's adversary/trust decorator, or nullptr when the axis is off
-  // (no roles, trust disabled, or the AG_ADVERSARY=off hatch).
+  // (no roles and trust disabled).
   [[nodiscard]] faults::AdversaryRouter* adversary(std::size_t i) {
     return adversary_.empty() ? nullptr : adversary_[i];
   }

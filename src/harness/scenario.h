@@ -57,13 +57,13 @@ struct ScenarioConfig {
   faults::FaultConfig faults{};
   // DTN custody tier (store-and-forward over any protocol) and the
   // user-session layer ("users served" accounting). Both off by default:
-  // without them the stack built is exactly the pre-custody one, and the
-  // AG_CUSTODY=off environment hatch forces custody off regardless.
+  // without them the stack built is exactly the pre-custody one.
   dtn::CustodyParams custody{};
   session::SessionParams sessions{};
   // Trust-based detection & isolation (the defensive half of the
   // adversary axis; the offensive half lives on faults.spec/plan). Off by
-  // default; AG_ADVERSARY=off forces the whole axis off regardless.
+  // default; with no roles and trust off the stack is the pre-adversary
+  // one.
   faults::TrustParams trust{};
 
   sim::SimTime duration{sim::SimTime::seconds(600.0)};

@@ -4,11 +4,7 @@
 #include <cassert>
 #include <utility>
 
-#include "sim/env.h"
-
 namespace ag::mac {
-
-bool batched_backoff_enabled() { return !sim::env_flag_off("AG_BATCHED_BACKOFF"); }
 
 CsmaMac::CsmaMac(sim::Simulator& sim, phy::Radio& radio, const phy::Channel& channel,
                  net::NodeId self, MacParams params, sim::Rng rng)
@@ -19,27 +15,17 @@ CsmaMac::CsmaMac(sim::Simulator& sim, phy::Radio& radio, const phy::Channel& cha
       params_{params},
       rng_{rng},
       cw_{params.cw_min},
-      batched_{batched_backoff_enabled()},
-      // Nominal category only: every restart() below passes its own
-      // (mac_slot or mac_difs depending on the phase being armed).
-      access_timer_{sim,
-                    [this] {
-                      if (batched_) {
-                        on_countdown_elapsed();
-                      } else if (difs_done_) {
-                        on_slot_elapsed();
-                      } else {
-                        on_difs_elapsed();
-                      }
-                    },
-                    sim::EventCategory::mac_slot},
       ack_timer_{sim, [this] { on_ack_timeout(); }, sim::EventCategory::mac_ack_timeout} {
   // Mirror of the channel's per-receiver delay quantization
   // (floor(d/c) + 1 us, d <= transmission range).
-  max_propagation_ = sim::Duration::us(
+  const auto max_propagation = sim::Duration::us(
       static_cast<std::int64_t>(channel.params().transmission_range_m /
                                 channel.params().propagation_mps * 1e6) +
       1);
+  auto done = [this] { start_transmission(); };
+  countdown_ = params_.countdown != nullptr
+                   ? params_.countdown(sim, params_, max_propagation, done)
+                   : std::make_unique<FusedCountdown>(sim, params_, max_propagation, done);
   radio_.set_listener(this);
 }
 
@@ -54,14 +40,12 @@ bool CsmaMac::send(net::NodeId mac_dst, net::PacketPtr packet) {
 }
 
 void CsmaMac::power_cycle() {
-  access_timer_.cancel();
+  countdown_->reset();
   ack_timer_.cancel();
   queue_.clear();
   last_rx_seq_.clear();
   retries_ = 0;
   cw_ = params_.cw_min;
-  backoff_slots_ = 0;
-  difs_done_ = false;
   // A frame already on the air completes through the tx_ack path of
   // on_transmit_complete, which touches no queue state; everything else
   // returns straight to idle.
@@ -80,115 +64,15 @@ void CsmaMac::begin_access() {
   if (radio_.medium_busy() || radio_.idle_for() < params_.difs) {
     draw_backoff();
   } else {
-    backoff_slots_ = 0;
-    difs_done_ = false;
+    countdown_->set_slots(0);
   }
   resume_contention();
 }
 
 void CsmaMac::resume_contention() {
   if (radio_.medium_busy()) return;  // on_medium_idle will call us again
-  // Credit idle time already elapsed toward the DIFS wait.
-  const sim::Duration already_idle = radio_.idle_for();
-  const bool difs_served = already_idle >= params_.difs;
-  if (batched_) {
-    // Analytic countdown: the DIFS remainder and every pending backoff
-    // slot fuse into one deadline. A busy transition before it fires
-    // pauses by crediting whole elapsed slots (pause_contention); the
-    // deadline firing means the medium stayed idle throughout, so the
-    // whole countdown completed.
-    difs_done_ = difs_served;
-    if (difs_served && backoff_slots_ == 0) {
-      start_transmission();
-      return;
-    }
-    const sim::Duration difs_remaining =
-        difs_served ? sim::Duration::zero() : params_.difs - already_idle;
-    countdown_anchor_ = sim_.now() + difs_remaining;
-    fused_difs_remaining_ =
-        backoff_slots_ > 0 ? difs_remaining : sim::Duration::zero();
-    access_timer_.restart(difs_remaining + params_.slot * backoff_slots_,
-                          backoff_slots_ > 0 ? sim::EventCategory::mac_slot
-                                             : sim::EventCategory::mac_difs);
-    return;
-  }
-  if (difs_served) {
-    difs_done_ = true;
-    if (backoff_slots_ == 0) {
-      start_transmission();
-    } else {
-      access_timer_.restart(params_.slot, sim::EventCategory::mac_slot);
-    }
-  } else {
-    difs_done_ = false;
-    access_timer_.restart(params_.difs - already_idle, sim::EventCategory::mac_difs);
-  }
-}
-
-void CsmaMac::pause_contention() {
-  if (batched_ && access_timer_.pending() && backoff_slots_ > 0) {
-    // Credit every whole slot completed since DIFS deference finished and
-    // forfeit the partial slot in progress — exactly the decrements the
-    // per-slot tick chain would have applied by now. (A tick firing in
-    // the same microsecond as the busy transition fires first — it was
-    // scheduled at least a slot earlier, FIFO order — so an exact slot
-    // boundary counts as completed; integer floor gives the same answer.)
-    const sim::Duration since_anchor = sim_.now() - countdown_anchor_;
-    if (!fused_difs_remaining_.is_zero() &&
-        (since_anchor > sim::Duration::zero() ||
-         (since_anchor == sim::Duration::zero() &&
-          fused_difs_remaining_ > max_propagation_))) {
-      // The countdown made it past the anchor, so the reference engine's
-      // separate difs event fired there: strictly past is unambiguous,
-      // and at the exact anchor the difs event was scheduled a full DIFS
-      // remainder earlier while the pausing arrival was scheduled at
-      // most one propagation delay earlier — FIFO order lets the difs
-      // event win whenever the remainder exceeds that bound. Shorter
-      // remainders could tie with the arrival's schedule instant, so
-      // those coincidences are not counted.
-      ++counters_.difs_events_elided;
-    }
-    if (since_anchor > sim::Duration::zero()) {
-      const std::int64_t whole = since_anchor.count_us() / params_.slot.count_us();
-      const auto credit = static_cast<std::uint32_t>(
-          std::min<std::int64_t>(whole, backoff_slots_));
-      backoff_slots_ -= credit;
-      counters_.backoff_slots_credited += credit;
-    }
-  }
-  access_timer_.cancel();
-  difs_done_ = false;
-}
-
-void CsmaMac::on_difs_elapsed() {
-  difs_done_ = true;
-  if (backoff_slots_ == 0) {
-    start_transmission();
-  } else {
-    access_timer_.restart(params_.slot, sim::EventCategory::mac_slot);
-  }
-}
-
-void CsmaMac::on_slot_elapsed() {
-  assert(backoff_slots_ > 0);
-  --backoff_slots_;
-  ++counters_.backoff_slots_credited;
-  if (backoff_slots_ == 0) {
-    start_transmission();
-  } else {
-    access_timer_.restart(params_.slot, sim::EventCategory::mac_slot);
-  }
-}
-
-void CsmaMac::on_countdown_elapsed() {
-  // The fused deadline survived to its expiry: no busy transition paused
-  // us (a pause cancels the timer), so DIFS and every slot completed.
-  assert(state_ == State::contending);
-  difs_done_ = true;
-  if (!fused_difs_remaining_.is_zero()) ++counters_.difs_events_elided;
-  counters_.backoff_slots_credited += backoff_slots_;
-  backoff_slots_ = 0;
-  start_transmission();
+  // Idle time already elapsed counts toward the DIFS wait.
+  if (countdown_->resume(radio_.idle_for())) start_transmission();
 }
 
 void CsmaMac::start_transmission() {
@@ -277,12 +161,11 @@ void CsmaMac::finish_current_and_continue() {
 }
 
 void CsmaMac::draw_backoff() {
-  backoff_slots_ = static_cast<std::uint32_t>(rng_.uniform_int(0, cw_));
-  difs_done_ = false;
+  countdown_->set_slots(static_cast<std::uint32_t>(rng_.uniform_int(0, cw_)));
 }
 
 void CsmaMac::on_medium_busy() {
-  if (state_ == State::contending) pause_contention();
+  if (state_ == State::contending) countdown_->pause();
 }
 
 void CsmaMac::on_medium_idle() {
@@ -334,7 +217,7 @@ void CsmaMac::send_ack(net::NodeId to, std::uint16_t seq) {
         // While awaiting an ACK ourselves, transmit without disturbing that
         // state machine (on_transmit_complete ignores the completion).
         if (state_ == State::contending) {
-          pause_contention();
+          countdown_->pause();
           state_ = State::tx_ack;
         } else if (state_ == State::idle) {
           state_ = State::tx_ack;

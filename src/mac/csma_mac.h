@@ -5,21 +5,19 @@
 // (64-byte data frames sit below any reasonable RTS threshold; see
 // DESIGN.md). Failed unicasts surface as link-break feedback to routing.
 //
-// The contention countdown is event-elided by default: DIFS deference and
-// the remaining backoff slots fuse into ONE scheduled deadline, and a
-// busy transition pauses analytically — whole slots elapsed since DIFS
-// completion are credited in O(1), the partial slot in progress is
-// forfeited, exactly as the per-slot tick machine would have done. The
-// per-slot reference machine stays alive behind AG_BATCHED_BACKOFF=off
-// (same pattern as AG_SPATIAL_INDEX / AG_DENSE_TABLES) and whole runs
-// are bit-identical either way; see ARCHITECTURE.md "MAC contention".
+// The DIFS + backoff wait runs on a mac::Countdown (mac/countdown.h): the
+// event-elided FusedCountdown unless a test installs another through
+// MacParams::countdown. The MAC draws the backoff slots from its own RNG
+// stream, so the countdown choice never moves a draw.
 #ifndef AG_MAC_CSMA_MAC_H
 #define AG_MAC_CSMA_MAC_H
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <utility>
 
+#include "mac/countdown.h"
 #include "mac/frame.h"
 #include "mac/mac_params.h"
 #include "net/data_plane.h"
@@ -31,14 +29,9 @@
 
 namespace ag::mac {
 
-// True unless AG_BATCHED_BACKOFF=off|0|false is set in the environment —
-// the process-wide escape hatch that swaps the analytic fused-deadline
-// contention countdown back onto the per-slot reference machine. Both
-// engines produce bit-identical runs (pinned by
-// batched_backoff_equivalence_test); the hatch exists to bisect
-// contention-engine bugs and to re-verify the equivalence on any
-// scenario. Read at CsmaMac construction.
-[[nodiscard]] bool batched_backoff_enabled();
+// Engine-mode constant for bench/perf, which records it with every run:
+// the fused countdown is the only production countdown.
+[[nodiscard]] constexpr bool batched_backoff_enabled() { return true; }
 
 // Implemented by the routing layer.
 class MacListener {
@@ -102,19 +95,9 @@ class CsmaMac final : public phy::RadioListener {
     std::uint64_t queue_drops{0};
     std::uint64_t delivered_up{0};
     std::uint64_t dup_frames_dropped{0};
-    // Whole backoff slots consumed by the countdown (each decrement of
-    // backoff_slots_, whether ticked one event at a time or credited
-    // analytically in a batch). Engine-independent by construction —
-    // the equivalence suite pins it across AG_BATCHED_BACKOFF modes.
-    std::uint64_t backoff_slots_credited{0};
-    // DIFS waits the fused deadline absorbed: countdowns that served a
-    // DIFS remainder *and* backoff slots in one event, where the
-    // per-slot reference would have executed a separate mac_difs event
-    // at the anchor. Always zero in the reference engine; executed
-    // mac_difs events + difs_events_elided is engine-independent.
-    std::uint64_t difs_events_elided{0};
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
+  [[nodiscard]] const Countdown& countdown() const { return *countdown_; }
 
   // RadioListener:
   void on_frame_received(const Frame& frame) override;
@@ -138,10 +121,6 @@ class CsmaMac final : public phy::RadioListener {
 
   void begin_access();
   void resume_contention();
-  void pause_contention();
-  void on_difs_elapsed();
-  void on_slot_elapsed();
-  void on_countdown_elapsed();
   void start_transmission();
   void on_ack_timeout();
   void transmission_succeeded();
@@ -162,28 +141,11 @@ class CsmaMac final : public phy::RadioListener {
   std::deque<Outgoing> queue_;
   State state_{State::idle};
   std::uint32_t cw_;
-  std::uint32_t backoff_slots_{0};
   std::uint32_t retries_{0};
   std::uint16_t next_mac_seq_{0};
-  bool difs_done_{false};
-  const bool batched_;  // analytic fused countdown vs per-slot reference
 
-  sim::Timer access_timer_;  // fused deadline, or DIFS + per-slot ticks
+  std::unique_ptr<Countdown> countdown_;
   sim::Timer ack_timer_;
-  // Batched engine: the instant DIFS deference completes for the armed
-  // countdown — backoff slots are counted from here. Valid only while
-  // access_timer_ is pending in batched mode.
-  sim::SimTime countdown_anchor_;
-  // The DIFS remainder the armed fused deadline covers in addition to
-  // backoff slots (zero when DIFS was already served — the reference
-  // engine would run a separate difs event at the anchor otherwise).
-  // Valid under the same condition as the anchor; drives the
-  // difs_events_elided accounting, including the exact-anchor tie rule.
-  sim::Duration fused_difs_remaining_;
-  // Upper bound on any in-range sender's quantized propagation delay
-  // (from the channel's range and propagation speed), used by the
-  // exact-anchor tie rule in pause_contention.
-  sim::Duration max_propagation_;
 
   // Last mac_seq accepted per neighbor: drops MAC-level retransmission
   // duplicates (data received, ACK lost, sender retried).

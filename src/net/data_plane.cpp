@@ -1,10 +1,6 @@
 #include "net/data_plane.h"
 
-#include "sim/env.h"
-
 namespace ag::net {
-
-bool dense_tables_enabled() { return !sim::env_flag_off("AG_DENSE_TABLES"); }
 
 DataPlaneCounters& data_plane_counters() {
   thread_local DataPlaneCounters counters;

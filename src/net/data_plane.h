@@ -1,6 +1,6 @@
-// Dense data-plane plumbing shared by every layer: the AG_DENSE_TABLES
-// escape hatch, per-thread allocation/probe counters, and the pooled
-// shared-packet allocator the zero-copy forwarding path rides on.
+// Dense data-plane plumbing shared by every layer: per-thread
+// allocation/probe counters and the pooled shared-packet allocator the
+// zero-copy forwarding path rides on.
 #ifndef AG_NET_DATA_PLANE_H
 #define AG_NET_DATA_PLANE_H
 
@@ -12,17 +12,13 @@
 
 namespace ag::net {
 
-// True unless AG_DENSE_TABLES=off|0|false is set in the environment — the
-// process-wide escape hatch that swaps every NodeTable/DenseMap onto an
-// ordered std::map reference backend. Both backends iterate in ascending
-// key order, so runs are bit-identical either way (pinned by the dense
-// equivalence suite); the hatch exists to bisect dense-container bugs.
-[[nodiscard]] bool dense_tables_enabled();
+// Engine-mode constant for bench/perf, which records it with every run:
+// NodeTable and DenseMap have one (dense) backend.
+[[nodiscard]] constexpr bool dense_tables_enabled() { return true; }
 
 // Per-thread data-plane work counters. These count logical operations,
-// not physical probe steps, so the dense and reference backends report
-// identical numbers — Network diffs them per run into NetworkTotals and
-// every BENCH_*.json.
+// not physical probe steps — Network diffs them per run into
+// NetworkTotals and every BENCH_*.json.
 struct DataPlaneCounters {
   std::uint64_t table_probes{0};  // NodeTable/DenseMap lookups + mutations
   std::uint64_t pool_hits{0};     // packets served from the free list

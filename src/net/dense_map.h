@@ -8,14 +8,12 @@
 // order: every current use is a commutative expiry purge, so the
 // simulation cannot observe slot order. Order-sensitive iteration belongs
 // in NodeTable (ascending) or an explicit side structure (HistoryTable's
-// FIFO deque). The AG_DENSE_TABLES=off hatch swaps in an ordered std::map
-// reference backend (see node_table.h; same observable behaviour).
+// FIFO deque).
 #ifndef AG_NET_DENSE_MAP_H
 #define AG_NET_DENSE_MAP_H
 
 #include <cassert>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -33,22 +31,16 @@ namespace ag::net {
 template <typename V>
 class DenseMap {
  public:
-  DenseMap() : dense_{dense_tables_enabled()} {}
-
   [[nodiscard]] V* find(std::uint64_t key) {
     ++dpc_->table_probes;
-    if (dense_) {
-      if (slots_.empty()) return nullptr;
-      std::size_t i = index_of(key);
-      while (true) {
-        Slot& s = slots_[i];
-        if (s.key == key) return &s.value;
-        if (s.key == kEmpty) return nullptr;
-        i = (i + 1) & mask_;
-      }
+    if (slots_.empty()) return nullptr;
+    std::size_t i = index_of(key);
+    while (true) {
+      Slot& s = slots_[i];
+      if (s.key == key) return &s.value;
+      if (s.key == kEmpty) return nullptr;
+      i = (i + 1) & mask_;
     }
-    auto it = fallback_.find(key);
-    return it == fallback_.end() ? nullptr : &it->second;
   }
   [[nodiscard]] const V* find(std::uint64_t key) const {
     return const_cast<DenseMap*>(this)->find(key);
@@ -60,10 +52,6 @@ class DenseMap {
   std::pair<V*, bool> try_emplace(std::uint64_t key, V value = V{}) {
     ++dpc_->table_probes;
     assert(key < kTombstone && "DenseMap key collides with sentinel");
-    if (!dense_) {
-      auto [it, inserted] = fallback_.try_emplace(key, std::move(value));
-      return {&it->second, inserted};
-    }
     maybe_grow();
     std::size_t i = index_of(key);
     std::size_t first_tomb = kNoSlot;
@@ -88,7 +76,6 @@ class DenseMap {
 
   bool erase(std::uint64_t key) {
     ++dpc_->table_probes;
-    if (!dense_) return fallback_.erase(key) > 0;
     if (slots_.empty()) return false;
     std::size_t i = index_of(key);
     while (true) {
@@ -105,18 +92,14 @@ class DenseMap {
     }
   }
 
-  [[nodiscard]] std::size_t size() const { return dense_ ? count_ : fallback_.size(); }
+  [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] bool empty() const { return size() == 0; }
 
   void clear() {
-    if (dense_) {
-      slots_.clear();
-      mask_ = 0;
-      count_ = 0;
-      tombstones_ = 0;
-    } else {
-      fallback_.clear();
-    }
+    slots_.clear();
+    mask_ = 0;
+    count_ = 0;
+    tombstones_ = 0;
   }
 
   // Erases entries for which pred(key, V&) returns true. Unspecified
@@ -124,25 +107,14 @@ class DenseMap {
   template <typename F>
   std::size_t erase_if(F&& pred) {
     std::size_t erased = 0;
-    if (dense_) {
-      for (Slot& s : slots_) {
-        if (s.key >= kTombstone) continue;
-        if (pred(s.key, s.value)) {
-          s.key = kTombstone;
-          s.value = V{};
-          --count_;
-          ++tombstones_;
-          ++erased;
-        }
-      }
-    } else {
-      for (auto it = fallback_.begin(); it != fallback_.end();) {
-        if (pred(it->first, it->second)) {
-          it = fallback_.erase(it);
-          ++erased;
-        } else {
-          ++it;
-        }
+    for (Slot& s : slots_) {
+      if (s.key >= kTombstone) continue;
+      if (pred(s.key, s.value)) {
+        s.key = kTombstone;
+        s.value = V{};
+        --count_;
+        ++tombstones_;
+        ++erased;
       }
     }
     return erased;
@@ -193,13 +165,11 @@ class DenseMap {
     }
   }
 
-  bool dense_;
   DataPlaneCounters* dpc_{&data_plane_counters()};
   std::vector<Slot> slots_;
   std::size_t mask_{0};
   std::size_t count_{0};
   std::size_t tombstones_{0};
-  std::map<std::uint64_t, V> fallback_;
 };
 
 // Set facade over DenseMap for message-id dedup windows.

@@ -4,11 +4,6 @@
 // small and dense (0..n-1), so a lookup is one bounds check plus one bit
 // test, and iteration is a bitmap scan in ascending key order.
 //
-// The AG_DENSE_TABLES=off escape hatch (net::dense_tables_enabled())
-// swaps the storage for an ordered std::map reference backend at
-// construction. Both backends iterate ascending, so simulations are
-// bit-identical either way — the equivalence suite pins it.
-//
 // Contract notes:
 //  - Keys must be real ids (never invalid()/broadcast()); enforced by
 //    assert. Values must be default-constructible; erase() resets the
@@ -25,7 +20,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -37,16 +31,10 @@ namespace ag::net {
 template <typename T, typename Key = NodeId>
 class NodeTable {
  public:
-  NodeTable() : dense_{dense_tables_enabled()} {}
-
   [[nodiscard]] T* find(Key key) {
     ++dpc_->table_probes;
-    if (dense_) {
-      const std::uint32_t k = key.value();
-      return occupied(k) ? &slots_[k] : nullptr;
-    }
-    auto it = fallback_.find(key.value());
-    return it == fallback_.end() ? nullptr : &it->second;
+    const std::uint32_t k = key.value();
+    return occupied(k) ? &slots_[k] : nullptr;
   }
   [[nodiscard]] const T* find(Key key) const {
     return const_cast<NodeTable*>(this)->find(key);
@@ -61,67 +49,52 @@ class NodeTable {
   std::pair<T*, bool> try_emplace(Key key, T value = T{}) {
     ++dpc_->table_probes;
     const std::uint32_t k = checked(key);
-    if (dense_) {
-      grow_to(k);
-      if (occupied(k)) return {&slots_[k], false};
-      set_occupied(k);
-      ++count_;
-      slots_[k] = std::move(value);
-      return {&slots_[k], true};
-    }
-    auto [it, inserted] = fallback_.try_emplace(k, std::move(value));
-    return {&it->second, inserted};
+    grow_to(k);
+    if (occupied(k)) return {&slots_[k], false};
+    set_occupied(k);
+    ++count_;
+    slots_[k] = std::move(value);
+    return {&slots_[k], true};
   }
 
   bool erase(Key key) {
     ++dpc_->table_probes;
     const std::uint32_t k = key.value();
-    if (dense_) {
-      if (!occupied(k)) return false;
-      clear_occupied(k);
-      slots_[k] = T{};  // free captured state eagerly
-      --count_;
-      return true;
-    }
-    return fallback_.erase(k) > 0;
+    if (!occupied(k)) return false;
+    clear_occupied(k);
+    slots_[k] = T{};  // free captured state eagerly
+    --count_;
+    return true;
   }
 
-  [[nodiscard]] std::size_t size() const { return dense_ ? count_ : fallback_.size(); }
+  [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] bool empty() const { return size() == 0; }
 
   void clear() {
-    if (dense_) {
-      for (std::size_t w = 0; w < occupied_.size(); ++w) {
-        std::uint64_t bits = occupied_[w];
-        while (bits != 0) {
-          const int b = std::countr_zero(bits);
-          bits &= bits - 1;
-          slots_[w * 64 + static_cast<std::size_t>(b)] = T{};
-        }
-        occupied_[w] = 0;
+    for (std::size_t w = 0; w < occupied_.size(); ++w) {
+      std::uint64_t bits = occupied_[w];
+      while (bits != 0) {
+        const int b = std::countr_zero(bits);
+        bits &= bits - 1;
+        slots_[w * 64 + static_cast<std::size_t>(b)] = T{};
       }
-      count_ = 0;
-    } else {
-      fallback_.clear();
+      occupied_[w] = 0;
     }
+    count_ = 0;
   }
 
   // Visits entries in ascending key order; f(Key, T&).
   template <typename F>
   void for_each(F&& f) {
-    if (dense_) {
-      for (std::size_t w = 0; w < occupied_.size(); ++w) {
-        std::uint64_t bits = occupied_[w];
-        while (bits != 0) {
-          const int b = std::countr_zero(bits);
-          bits &= bits - 1;
-          const std::uint32_t k = static_cast<std::uint32_t>(w * 64) +
-                                  static_cast<std::uint32_t>(b);
-          f(Key{k}, slots_[k]);
-        }
+    for (std::size_t w = 0; w < occupied_.size(); ++w) {
+      std::uint64_t bits = occupied_[w];
+      while (bits != 0) {
+        const int b = std::countr_zero(bits);
+        bits &= bits - 1;
+        const std::uint32_t k =
+            static_cast<std::uint32_t>(w * 64) + static_cast<std::uint32_t>(b);
+        f(Key{k}, slots_[k]);
       }
-    } else {
-      for (auto& [k, v] : fallback_) f(Key{k}, v);
     }
   }
   template <typename F>
@@ -135,29 +108,18 @@ class NodeTable {
   template <typename F>
   std::size_t erase_if(F&& pred) {
     std::size_t erased = 0;
-    if (dense_) {
-      for (std::size_t w = 0; w < occupied_.size(); ++w) {
-        std::uint64_t bits = occupied_[w];
-        while (bits != 0) {
-          const int b = std::countr_zero(bits);
-          bits &= bits - 1;
-          const std::uint32_t k = static_cast<std::uint32_t>(w * 64) +
-                                  static_cast<std::uint32_t>(b);
-          if (pred(Key{k}, slots_[k])) {
-            occupied_[w] &= ~(std::uint64_t{1} << b);
-            slots_[k] = T{};
-            --count_;
-            ++erased;
-          }
-        }
-      }
-    } else {
-      for (auto it = fallback_.begin(); it != fallback_.end();) {
-        if (pred(Key{it->first}, it->second)) {
-          it = fallback_.erase(it);
+    for (std::size_t w = 0; w < occupied_.size(); ++w) {
+      std::uint64_t bits = occupied_[w];
+      while (bits != 0) {
+        const int b = std::countr_zero(bits);
+        bits &= bits - 1;
+        const std::uint32_t k =
+            static_cast<std::uint32_t>(w * 64) + static_cast<std::uint32_t>(b);
+        if (pred(Key{k}, slots_[k])) {
+          occupied_[w] &= ~(std::uint64_t{1} << b);
+          slots_[k] = T{};
+          --count_;
           ++erased;
-        } else {
-          ++it;
         }
       }
     }
@@ -193,12 +155,10 @@ class NodeTable {
     occupied_.resize((target + 63) / 64, 0);
   }
 
-  bool dense_;
   DataPlaneCounters* dpc_{&data_plane_counters()};
   std::vector<T> slots_;
   std::vector<std::uint64_t> occupied_;
   std::size_t count_{0};
-  std::map<std::uint32_t, T> fallback_;
 };
 
 // Set-of-ids facade over NodeTable (group membership, etc.).

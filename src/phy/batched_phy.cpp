@@ -3,18 +3,15 @@
 #include <cassert>
 
 #include "phy/channel.h"
-#include "phy/radio.h"
 
 namespace ag::phy {
 
 BatchedPhy::BatchedPhy(sim::Simulator& sim, Channel& channel)
     : sim_{sim}, channel_{channel} {}
 
-void BatchedPhy::attach(Radio* radio) {
-  assert(radio->node_index() == radios_.size() && "attach in node-index order");
-  radios_.push_back(radio);
-  if (listeners_.size() < radios_.size()) listeners_.resize(radios_.size(), nullptr);
-  listeners_[radio->node_index()] = radio->listener_;
+void BatchedPhy::attach() {
+  counters_.emplace_back();
+  if (listeners_.size() < counters_.size()) listeners_.resize(counters_.size(), nullptr);
   transmitting_.push_back(0);
   rx_count_.push_back(0);
   has_clean_.push_back(0);
@@ -36,11 +33,11 @@ void BatchedPhy::transmit(std::size_t node, const mac::Frame& frame) {
   // in-flight reception can be clean, so that flag is the whole loop.
   if (has_clean_[node] != 0) {
     has_clean_[node] = 0;
-    ++radios_[node]->counters_.frames_missed_while_tx;
+    ++counters_[node].frames_missed_while_tx;
   }
-  ++radios_[node]->counters_.frames_sent;
-  // Schedule-call order matches the reference Radio::transmit exactly:
-  // the channel's arrival events first, the tx-complete event second.
+  ++counters_[node].frames_sent;
+  // Schedule-call order: the channel's arrival events first, the
+  // tx-complete event second.
   channel_.transmit(node, frame);
   const sim::Duration airtime = channel_.airtime_of(frame);
   const sim::SimTime tx_end = sim_.now() + airtime;
@@ -59,7 +56,7 @@ void BatchedPhy::transmit(std::size_t node, const mac::Frame& frame) {
 
 bool BatchedPhy::arrive(std::size_t node, const mac::Frame* frame_key,
                         sim::SimTime end) {
-  Radio::Counters& counters = radios_[node]->counters_;
+  RadioCounters& counters = counters_[node];
   bool corrupt = false;
   if (transmitting_[node] != 0) {
     corrupt = true;
@@ -81,7 +78,7 @@ bool BatchedPhy::arrive(std::size_t node, const mac::Frame* frame_key,
     // Doomed, and tracked state outlives it *strictly*: it can never
     // deliver, never extends carrier sense, and the busy->idle
     // transition belongs to the cover. Resolved with no event. (At
-    // equal ends the reference fires on_medium_idle inside the last
+    // equal ends a per-receiver engine fires on_medium_idle in the last
     // same-end finish — this one — so equality must stay tracked.)
     // Stale busy_until_ components are always <= now (tracked items
     // leave the set exactly at their end), so only live state can
@@ -111,28 +108,10 @@ void BatchedPhy::complete_one(std::size_t node,
   --rx_count_[node];
   settle_if_idle(node);
   if (deliver) {
-    ++radios_[node]->counters_.frames_received;
+    ++counters_[node].frames_received;
     RadioListener* l = listeners_[node];
     if (l != nullptr) l->on_frame_received(*frame);
   }
-}
-
-void BatchedPhy::begin_reception(std::size_t node,
-                                 std::shared_ptr<const mac::Frame> frame,
-                                 sim::SimTime end) {
-  settle_elided();
-  if (!arrive(node, frame.get(), end)) {
-    elided_pending_.emplace(end, 1);
-    return;
-  }
-  ++unstamped_live_;
-  sim_.schedule_at(
-      end,
-      [this, node, frame] {
-        --unstamped_live_;
-        complete_one(node, frame);
-      },
-      sim::EventCategory::phy_delivery);
 }
 
 std::size_t BatchedPhy::deliver_group(const std::shared_ptr<const mac::Frame>& frame,
@@ -143,14 +122,14 @@ std::size_t BatchedPhy::deliver_group(const std::shared_ptr<const mac::Frame>& f
   const mac::Frame* key = frame.get();
   std::shared_ptr<std::vector<std::uint32_t>> live = channel_.acquire_rx_buf();
   std::uint64_t elided = 0;
-  if (uncontended && unstamped_live_ == 0) {
+  if (uncontended) {
     // Cell-timeline fast path: no receiver has a reception in flight, so
     // the whole collision branch is provably dead — only the half-duplex
     // check remains per receiver.
     for (const std::uint32_t node : rx) {
       if (channel_.is_node_down(node)) continue;  // crashed before first bit
       if (transmitting_[node] != 0) {
-        ++radios_[node]->counters_.frames_missed_while_tx;
+        ++counters_[node].frames_missed_while_tx;
         if (end < busy_until_[node]) {
           ++elided;
           continue;
@@ -184,9 +163,9 @@ std::size_t BatchedPhy::deliver_group(const std::shared_ptr<const mac::Frame>& f
       end,
       [this, frame, live] {
         // Coalescing credit lands at execution time, exactly when the
-        // reference's per-receiver finish events would have executed —
-        // frames still in flight at the run cutoff credit nothing, so
-        // the executed-event reconstruction holds across cutoffs.
+        // per-receiver finish events would have executed — frames still
+        // in flight at the run cutoff credit nothing, so the
+        // executed-event reconstruction holds across cutoffs.
         rx_coalesced_ += live->size() - 1;
         for (const std::uint32_t node : *live) complete_one(node, frame);
       },

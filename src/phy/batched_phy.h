@@ -5,19 +5,20 @@
 // lives in flat per-node arrays (SoA, keyed like net::NodeTable) swept
 // in ascending node order, so every listener callback
 // (on_medium_busy / on_medium_idle / on_frame_received) fires in
-// exactly the order the per-receiver reference engine produces — full
-// runs are bit-identical, only the simulator event counts differ.
+// exactly the order a per-receiver engine (one finish event per
+// reception) produces — full runs are bit-identical, only the simulator
+// event counts differ.
 //
-// The reference per-receiver engine (phy/radio.cpp) stays selectable
-// behind AG_BATCHED_PHY=off forever; batched_phy_equivalence_test pins
-// the equivalence, and the elision accounting reconstructs the
-// reference's executed phy_delivery event count exactly:
-//   ref executed == batched executed + rx_elided + rx_coalesced.
+// That per-receiver engine is the oracle: it lives in tests/reference/
+// and the equivalence suites run it through PhyParams::engine. The
+// elision accounting reconstructs its executed phy_delivery event count
+// exactly:
+//   per-receiver executed == batched executed + rx_elided + rx_coalesced.
 //
 // Why elision is sound only under a *strict* cover (end < busy_until):
-// at equal end times the reference fires the busy->idle transition
-// inside the LAST same-end finish event, so dropping the doomed
-// reception would move the on_medium_idle callback to an earlier
+// at equal end times the per-receiver engine fires the busy->idle
+// transition inside the LAST same-end finish event, so dropping the
+// doomed reception would move the on_medium_idle callback to an earlier
 // same-timestamp event and shift every MAC timer seeded from it.
 #ifndef AG_PHY_BATCHED_PHY_H
 #define AG_PHY_BATCHED_PHY_H
@@ -29,80 +30,70 @@
 #include <vector>
 
 #include "mac/frame.h"
+#include "phy/phy_engine.h"
 #include "sim/simulator.h"
 
 namespace ag::phy {
 
 class Channel;
-class Radio;
-class RadioListener;
 
-class BatchedPhy {
+class BatchedPhy final : public PhyEngine {
  public:
   BatchedPhy(sim::Simulator& sim, Channel& channel);
 
   // Grows the per-node arrays; called from Channel::attach in node order.
-  void attach(Radio* radio);
+  void attach() override;
 
-  // Mirror of Radio::set_listener — the hot notification paths read the
+  // Radio::set_listener lands here — the hot notification paths read the
   // flat table instead of chasing a Radio pointer per state change.
-  void set_listener(std::size_t node, RadioListener* listener) {
+  void set_listener(std::size_t node, RadioListener* listener) override {
     if (node >= listeners_.size()) listeners_.resize(node + 1, nullptr);
     listeners_[node] = listener;
   }
 
   // --- Radio facade (state queries on the SoA table) ---
-  [[nodiscard]] bool transmitting(std::size_t node) const {
+  [[nodiscard]] bool transmitting(std::size_t node) const override {
     return transmitting_[node] != 0;
   }
-  [[nodiscard]] bool medium_busy(std::size_t node) const {
+  [[nodiscard]] bool medium_busy(std::size_t node) const override {
     return transmitting_[node] != 0 || rx_count_[node] > 0;
   }
-  [[nodiscard]] sim::Duration idle_for(std::size_t node) const;
+  [[nodiscard]] sim::Duration idle_for(std::size_t node) const override;
+  [[nodiscard]] const RadioCounters& counters(std::size_t node) const override {
+    return counters_[node];
+  }
 
-  // Radio::transmit body: corrupts in-flight receptions (half duplex),
-  // hands the frame to the channel, schedules tx-complete. Schedule-call
-  // order matches the reference exactly (arrival events, then the
-  // tx-complete event), so FIFO ties break identically.
-  void transmit(std::size_t node, const mac::Frame& frame);
-
-  // Single-receiver reception (direct Radio::begin_reception calls, e.g.
-  // unit tests). Tracked receptions from this path bypass the per-cell
-  // airtime timeline, so they disable the uncontended fast path while in
-  // flight (unstamped_live_).
-  void begin_reception(std::size_t node, std::shared_ptr<const mac::Frame> frame,
-                       sim::SimTime end);
+  // Corrupts in-flight receptions (half duplex), hands the frame to the
+  // channel, schedules tx-complete. Schedule-call order is the channel's
+  // arrival events, then the tx-complete event, as in a per-receiver
+  // engine, so FIFO ties break identically.
+  void transmit(std::size_t node, const mac::Frame& frame) override;
 
   // Crash support: corrupts every reception in progress without touching
   // collision counters. Entries stay tracked (their completion events
-  // still drain rx_count_), mirroring the reference's corrupt-in-place.
-  void abort_receptions(std::size_t node) { has_clean_[node] = 0; }
+  // still drain rx_count_), as a per-receiver engine corrupts in place.
+  void abort_receptions(std::size_t node) override { has_clean_[node] = 0; }
 
   // --- Channel delivery path ---
-  // Processes one frame's receiver group (ascending node order, downed
-  // receivers already excluded by the caller): credits collision
-  // counters, elides strictly-covered doomed receptions, and schedules
-  // ONE completion event for the survivors. `uncontended` is the per-cell
-  // airtime-timeline verdict: every receiver provably has no reception
-  // in flight, so the collision branches are skipped wholesale. Returns
-  // the number of tracked (live) receivers, 0 when fully elided.
+  // Processes one frame's receiver group: credits collision counters,
+  // elides strictly-covered doomed receptions, and schedules ONE
+  // completion event for the survivors. When `uncontended`, every
+  // receiver provably has no reception in flight, so the collision
+  // branches are skipped wholesale. Returns the number of tracked (live)
+  // receivers, 0 when fully elided.
   std::size_t deliver_group(const std::shared_ptr<const mac::Frame>& frame,
-                            sim::SimTime end,
-                            const std::vector<std::uint32_t>& rx,
-                            bool uncontended);
+                            sim::SimTime end, const std::vector<std::uint32_t>& rx,
+                            bool uncontended) override;
 
   // --- elision accounting ---
   // Receptions resolved with no completion event ever scheduled, settled
-  // against sim.now(): an elided end is credited once the reference's
-  // finish event would have executed, so the reconstruction identity
-  // holds exactly even for frames in flight at the run cutoff.
-  [[nodiscard]] std::uint64_t rx_elided() const;
+  // against sim.now(): an elided end is credited once a per-receiver
+  // engine's finish event would have executed, so the reconstruction
+  // identity holds exactly even for frames in flight at the run cutoff.
+  [[nodiscard]] std::uint64_t rx_elided() const override;
   // Live receivers beyond the first per completion event (L receivers
-  // swept by one event = L-1 events the reference would have executed).
-  [[nodiscard]] std::uint64_t rx_coalesced() const { return rx_coalesced_; }
-  // True while a reception tracked outside the channel's cell timeline
-  // is in flight (begin_reception path) — the fast path must stand down.
-  [[nodiscard]] bool has_unstamped_live() const { return unstamped_live_ > 0; }
+  // swept by one event = L-1 per-receiver finish events).
+  [[nodiscard]] std::uint64_t rx_coalesced() const override { return rx_coalesced_; }
 
  private:
   // Arrival bookkeeping for one receiver. Returns true when the
@@ -120,8 +111,8 @@ class BatchedPhy {
 
   sim::Simulator& sim_;
   Channel& channel_;
-  std::vector<Radio*> radios_;
-  std::vector<RadioListener*> listeners_;  // kept in sync by Radio::set_listener
+  std::vector<RadioListener*> listeners_;  // set through Radio::set_listener
+  std::vector<RadioCounters> counters_;
 
   // SoA radio state, indexed by node. At most one in-flight reception
   // per node can be clean (any overlap corrupts all, no capture), so the
@@ -145,7 +136,6 @@ class BatchedPhy {
       elided_pending_;
   mutable std::uint64_t rx_elided_{0};
   std::uint64_t rx_coalesced_{0};
-  std::uint64_t unstamped_live_{0};
 };
 
 }  // namespace ag::phy

@@ -7,24 +7,17 @@
 #include "mobility/vec2.h"
 #include "phy/batched_phy.h"
 #include "phy/radio.h"
-#include "sim/env.h"
 
 namespace ag::phy {
-
-bool spatial_index_env_off() { return sim::env_flag_off("AG_SPATIAL_INDEX"); }
-
-bool batched_phy_enabled() { return !sim::env_flag_off("AG_BATCHED_PHY"); }
 
 Channel::Channel(sim::Simulator& sim, const mobility::MobilityModel& mobility,
                  PhyParams params)
     : sim_{sim},
       mobility_{mobility},
       params_{params},
-      use_index_{params.use_spatial_index && !spatial_index_env_off()},
       rx_pool_{std::make_shared<RxBufPool>()} {
-  if (params.use_batched_phy && batched_phy_enabled()) {
-    batched_ = std::make_unique<BatchedPhy>(sim_, *this);
-  }
+  engine_ = params.engine != nullptr ? params.engine(sim_, *this)
+                                     : std::make_unique<BatchedPhy>(sim_, *this);
 }
 
 Channel::~Channel() = default;
@@ -33,7 +26,7 @@ void Channel::attach(Radio* radio) {
   assert(radio != nullptr);
   assert(radio->node_index() == radios_.size() && "attach in node-index order");
   radios_.push_back(radio);
-  if (batched_ != nullptr) batched_->attach(radio);
+  engine_->attach();
 }
 
 sim::Duration Channel::airtime_of(const mac::Frame& frame) const {
@@ -52,13 +45,7 @@ sim::Duration Channel::airtime_of(const mac::Frame& frame) const {
   return sim::Duration::us(us);
 }
 
-std::uint64_t Channel::rx_elided() const {
-  return batched_ != nullptr ? batched_->rx_elided() : 0;
-}
-
-std::uint64_t Channel::rx_coalesced() const {
-  return batched_ != nullptr ? batched_->rx_coalesced() : 0;
-}
+BatchedPhy* Channel::batched_engine() { return dynamic_cast<BatchedPhy*>(engine_.get()); }
 
 std::shared_ptr<Channel::RxBuf> Channel::acquire_rx_buf() {
   std::unique_ptr<RxBuf> buf;
@@ -88,7 +75,7 @@ void Channel::set_node_down(std::size_t node, bool down) {
   down_[node] = down ? 1 : 0;
   // Going down kills any frame currently being received; the first-bit
   // guard in transmit() only covers frames that had not yet arrived.
-  if (down) radios_[node]->abort_receptions();
+  if (down) engine_->abort_receptions(node);
 }
 
 void Channel::set_partition(std::vector<std::uint8_t> side_of_node) {
@@ -126,7 +113,7 @@ void Channel::transmit(std::size_t sender, const mac::Frame& frame) {
     pending_.emplace_back(prop_us, static_cast<std::uint32_t>(i));
   };
 
-  if (use_index_) {
+  if (params_.use_spatial_index) {
     // (Re)build on first use or when radios were attached since — the
     // index covers exactly the receivers the scan would visit.
     if (index_ == nullptr || index_->node_count() != radios_.size()) {
@@ -180,12 +167,11 @@ void Channel::transmit(std::size_t sender, const mac::Frame& frame) {
     }
     (*buf)->push_back(i);
   }
-  // Sender cell for the per-cell airtime timeline (batched engine with
-  // the spatial index only; the brute-force scan runs every group down
-  // the contended path).
+  // Sender cell for the per-cell airtime timeline (spatial index only;
+  // the brute-force scan runs every group down the contended path).
   std::size_t cell_col = 0;
   std::size_t cell_row = 0;
-  if (batched_ != nullptr && index_ != nullptr) {
+  if (index_ != nullptr) {
     ensure_timeline();
     const auto cell = index_->cell_of(from);
     cell_col = cell.first;
@@ -206,20 +192,9 @@ void Channel::transmit(std::size_t sender, const mac::Frame& frame) {
 
 void Channel::deliver_to(const RxBuf& rx, const std::shared_ptr<const mac::Frame>& frame,
                          sim::SimTime end, std::size_t cell_col, std::size_t cell_row) {
-  if (batched_ == nullptr) {
-    for (const std::uint32_t i : rx) {
-      if (is_node_down(i)) continue;  // crashed between send and first bit
-      radios_[i]->begin_reception(frame, end);
-    }
-    return;
-  }
-  // Receptions begun directly on a Radio (unit tests) are tracked outside
-  // the timeline, so the uncontended verdict stands down while any is in
-  // flight.
-  const bool uncontended = !cell_busy_until_.empty() &&
-                           !batched_->has_unstamped_live() &&
-                           timeline_clear(cell_col, cell_row, sim_.now());
-  const std::size_t live = batched_->deliver_group(frame, end, rx, uncontended);
+  const bool uncontended =
+      !cell_busy_until_.empty() && timeline_clear(cell_col, cell_row, sim_.now());
+  const std::size_t live = engine_->deliver_group(frame, end, rx, uncontended);
   if (live > 0 && !cell_busy_until_.empty()) stamp_timeline(cell_col, cell_row, end);
 }
 

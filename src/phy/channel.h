@@ -5,9 +5,9 @@
 // Receiver lookup goes through a grid spatial index (phy/spatial_index.h)
 // keyed off mobility positions — O(degree) per transmit instead of the
 // brute-force O(n) scan — and the frame is scheduled as one shared
-// immutable copy across all receivers. PhyParams::use_spatial_index (or
-// the AG_SPATIAL_INDEX=off environment variable) restores the brute-force
-// scan; both paths make bit-identical delivery decisions.
+// immutable copy across all receivers. PhyParams::use_spatial_index
+// restores the brute-force scan; both paths make bit-identical delivery
+// decisions.
 #ifndef AG_PHY_CHANNEL_H
 #define AG_PHY_CHANNEL_H
 
@@ -18,6 +18,7 @@
 
 #include "mac/frame.h"
 #include "mobility/mobility_model.h"
+#include "phy/phy_engine.h"
 #include "phy/phy_params.h"
 #include "phy/spatial_index.h"
 #include "sim/simulator.h"
@@ -27,15 +28,10 @@ namespace ag::phy {
 class BatchedPhy;
 class Radio;
 
-// True when AG_SPATIAL_INDEX=off|0|false is set in the environment — the
-// process-wide escape hatch disabling the spatial index (see README).
-[[nodiscard]] bool spatial_index_env_off();
-
-// True unless AG_BATCHED_PHY=off|0|false is set in the environment — the
-// process-wide escape hatch selecting the per-receiver reference phy
-// engine (see README and phy/batched_phy.h). Combined with
-// PhyParams::use_batched_phy at Channel construction.
-[[nodiscard]] bool batched_phy_enabled();
+// Engine-mode constants for bench/perf, which records them with every
+// run: the spatial index and the batched phy engine are always on.
+[[nodiscard]] constexpr bool spatial_index_env_off() { return false; }
+[[nodiscard]] constexpr bool batched_phy_enabled() { return true; }
 
 class Channel {
  public:
@@ -94,24 +90,20 @@ class Channel {
 
   [[nodiscard]] double distance_between(std::size_t a, std::size_t b) const;
 
-  // True when receiver lookup goes through the spatial index (params flag
-  // and the AG_SPATIAL_INDEX environment override, resolved at
-  // construction).
-  [[nodiscard]] bool spatial_index_enabled() const { return use_index_; }
+  // True when receiver lookup goes through the spatial index.
+  [[nodiscard]] bool spatial_index_enabled() const { return params_.use_spatial_index; }
   // The live index, or nullptr before the first transmit / when disabled.
   [[nodiscard]] const SpatialIndex* spatial_index() const { return index_.get(); }
 
-  // The batched delivery engine, or nullptr when the per-receiver
-  // reference engine is selected (params flag and the AG_BATCHED_PHY
-  // environment override, resolved at construction). Radios pick their
-  // state backend from this at construction.
-  [[nodiscard]] BatchedPhy* batched_engine() { return batched_.get(); }
-  // --- batched-engine elision accounting (zero in the reference engine;
-  // see stats::NetworkTotals::phy_events_elided) ---
+  // The radio state engine (PhyParams::engine, BatchedPhy by default).
+  [[nodiscard]] PhyEngine& engine() { return *engine_; }
+  // The engine as BatchedPhy, or nullptr when a test installed another.
+  [[nodiscard]] BatchedPhy* batched_engine();
+  // --- elision accounting (see stats::NetworkTotals::phy_events_elided) ---
   // Receptions resolved analytically with no completion event scheduled.
-  [[nodiscard]] std::uint64_t rx_elided() const;
+  [[nodiscard]] std::uint64_t rx_elided() const { return engine_->rx_elided(); }
   // Live receivers beyond the first swept by one completion event.
-  [[nodiscard]] std::uint64_t rx_coalesced() const;
+  [[nodiscard]] std::uint64_t rx_coalesced() const { return engine_->rx_coalesced(); }
 
  private:
   friend class BatchedPhy;
@@ -126,13 +118,12 @@ class Channel {
   };
   [[nodiscard]] std::shared_ptr<RxBuf> acquire_rx_buf();
 
-  // Delivery-time dispatch for one frame's receiver group: per-receiver
-  // begin_reception in the reference engine, one batched-engine group
-  // (with the cell-timeline verdict) otherwise.
+  // Delivery-time dispatch for one frame's receiver group: hands it to the
+  // engine with the cell-timeline verdict.
   void deliver_to(const RxBuf& rx, const std::shared_ptr<const mac::Frame>& frame,
                   sim::SimTime end, std::size_t cell_col, std::size_t cell_row);
 
-  // --- per-cell airtime timeline (batched engine + spatial index only) --
+  // --- per-cell airtime timeline (spatial index only) ------------------
   // cell_busy_until_[row * nx + col] is a monotone high-water mark over
   // the completion times of every frame group delivered with its sender
   // in that cell, stamped over the 3x3 cell window that provably contains
@@ -157,9 +148,8 @@ class Channel {
   std::uint64_t deliveries_{0};
   std::uint64_t suppressed_down_{0};
   std::uint64_t suppressed_partition_{0};
-  bool use_index_;
-  std::unique_ptr<SpatialIndex> index_;   // built lazily at first transmit
-  std::unique_ptr<BatchedPhy> batched_;   // nullptr in the reference engine
+  std::unique_ptr<SpatialIndex> index_;  // built lazily at first transmit
+  std::unique_ptr<PhyEngine> engine_;
   // Receivers of the in-flight transmit with their propagation delay (us),
   // in ascending node order. Receivers sharing a delay are delivered by
   // one batched event: at unit-disk ranges the +1 us quantization makes

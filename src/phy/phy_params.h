@@ -3,7 +3,20 @@
 #ifndef AG_PHY_PHY_PARAMS_H
 #define AG_PHY_PHY_PARAMS_H
 
+#include <memory>
+
+namespace ag::sim {
+class Simulator;
+}
+
 namespace ag::phy {
+
+class Channel;
+class PhyEngine;
+
+// Builds the radio state engine a Channel runs (see phy/phy_engine.h).
+using PhyEngineFactory = std::unique_ptr<PhyEngine> (*)(sim::Simulator& sim,
+                                                        Channel& channel);
 
 struct PhyParams {
   double transmission_range_m{75.0};
@@ -13,17 +26,12 @@ struct PhyParams {
   double propagation_mps{3e8};
   // Receiver lookup via the grid spatial index (see phy/spatial_index.h).
   // Off falls back to the brute-force O(n) scan — delivery decisions are
-  // bit-identical either way; the flag exists so the equivalence is
-  // testable forever. The AG_SPATIAL_INDEX=off environment escape hatch
-  // overrides this at Channel construction.
+  // bit-identical either way; the spatial index's tests use the scan as
+  // their oracle.
   bool use_spatial_index{true};
-  // Batched phy delivery engine (see phy/batched_phy.h): one completion
-  // event per frame plus analytic elision of doomed receptions. Off
-  // falls back to the per-receiver reference engine in phy/radio.cpp —
-  // runs are bit-identical either way, only event counts differ. The
-  // AG_BATCHED_PHY=off environment escape hatch overrides this at
-  // Channel construction.
-  bool use_batched_phy{true};
+  // Engine seam, set only by tests: nullptr runs phy::BatchedPhy; a test
+  // installs an oracle engine here (tests/reference/).
+  PhyEngineFactory engine{nullptr};
 };
 
 }  // namespace ag::phy

@@ -1,5 +1,4 @@
-// Shared parser for the AG_* environment knobs (AG_SEEDS, the escape
-// hatches AG_SPATIAL_INDEX, AG_DENSE_TABLES, AG_BATCHED_BACKOFF, and the
+// Shared parser for the AG_* environment knobs (AG_SEEDS and the
 // sharded-driver knobs AG_SHARDS/AG_SHARD_TIMEOUT/AG_SHARD_RETRIES/
 // AG_SHARD_BACKOFF_MS/AG_SHARD_FAULT): the single place in the tree that
 // reads AG_* variables, so knob spellings can never drift apart between
@@ -12,18 +11,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace ag::sim {
-
-// True when the variable is set to off|0|false; unset or anything else
-// means the feature stays on.
-[[nodiscard]] inline bool env_flag_off(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return false;
-  return std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0 ||
-         std::strcmp(v, "false") == 0;
-}
 
 // Strictly-positive integer knob (e.g. AG_SEEDS): unset/empty returns
 // `fallback`; a malformed or out-of-range value warns on stderr and

@@ -51,10 +51,10 @@ struct NetworkTotals {
   std::uint64_t sim_events{0};
   // Event-mix accounting (sim::EventCategory order, names via
   // sim::event_category_name): events scheduled and executed per
-  // category. These counts legitimately differ across the
-  // AG_BATCHED_BACKOFF modes — the analytic countdown elides per-slot
-  // tick events — so they feed BENCH_scale.json and the microbenches,
-  // NOT the mode-independent figure JSONs.
+  // category. These counts legitimately differ across engines — the
+  // analytic countdown elides per-slot tick events — so they feed
+  // BENCH_scale.json and the microbenches, NOT the engine-independent
+  // figure JSONs.
   std::uint64_t ev_scheduled[sim::kEventCategoryCount]{};
   std::uint64_t ev_executed[sim::kEventCategoryCount]{};
   // Whole backoff slots consumed by every MAC's contention countdown —
@@ -62,13 +62,12 @@ struct NetworkTotals {
   // sim_events + mac_events_elided() is a mode-comparable measure of
   // simulated work.
   std::uint64_t mac_backoff_slots_credited{0};
-  // DIFS waits absorbed into a fused slot-countdown deadline (the
-  // reference engine runs them as their own mac_difs events). Zero in
-  // the per-slot reference engine.
+  // DIFS waits absorbed into a fused slot-countdown deadline (a per-slot
+  // countdown runs them as their own mac_difs events, and counts zero).
   std::uint64_t mac_difs_elided{0};
   // Slot ticks the analytic countdown never scheduled: slots consumed
-  // minus mac_slot events actually executed. Exactly zero in the
-  // per-slot reference engine (every consumed slot was its own event).
+  // minus mac_slot events actually executed. Exactly zero for a per-slot
+  // countdown (every consumed slot was its own event).
   [[nodiscard]] std::uint64_t mac_slots_elided() const {
     const std::uint64_t ticked =
         ev_executed[sim::category_index(sim::EventCategory::mac_slot)];
@@ -76,30 +75,30 @@ struct NetworkTotals {
                                                : 0;
   }
   // Everything the analytic countdown represented without an event:
-  // sim_events + this reconstructs what the reference engine executes.
+  // sim_events + this reconstructs what a per-slot countdown executes.
   [[nodiscard]] std::uint64_t mac_events_elided() const {
     return mac_slots_elided() + mac_difs_elided;
   }
   // --- batched phy engine elision accounting (phy/batched_phy.h; both
-  // zero in the per-receiver reference engine) ---
+  // zero in a per-receiver engine) ---
   // Receptions resolved analytically with no completion event scheduled,
   // credited as each would-be finish time passes, so counts stay exact
   // across run cutoffs.
   std::uint64_t phy_rx_elided{0};
   // Live receivers beyond the first swept by one batched completion
-  // event (L receivers per event = L-1 reference finish events).
+  // event (L receivers per event = L-1 per-receiver finish events).
   std::uint64_t phy_rx_coalesced{0};
   // Reception completions the batched engine represented without their
   // own event: executed phy_delivery events + this reconstructs exactly
-  // what the reference engine executes (pinned by
+  // what a per-receiver engine executes (pinned by
   // batched_phy_equivalence_test).
   [[nodiscard]] std::uint64_t phy_events_elided() const {
     return phy_rx_elided + phy_rx_coalesced;
   }
   // Data-plane work (net::DataPlaneCounters, diffed per run): logical
   // NodeTable/DenseMap operations and packet-pool allocation behaviour.
-  // Counted at the container API level, so the dense and AG_DENSE_TABLES
-  // =off reference backends report identical numbers.
+  // Counted at the container API level: one per operation, however many
+  // slots a probe visits.
   std::uint64_t table_probes{0};
   std::uint64_t pool_hits{0};
   std::uint64_t pool_misses{0};

@@ -1,15 +1,14 @@
 // End-to-end coverage of the custody tier on a full harness Network:
-// the zero-cost guarantees (armed-but-empty store, AG_CUSTODY=off
-// hatch), the reboot re-offer path with sink-level dedup, gateway
+// the zero-cost guarantees (armed-but-empty store, a configured but
+// disabled tier), the reboot re-offer path with sink-level dedup, gateway
 // bridging across a partition heal, and determinism.
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "dtn/custody_router.h"
 #include "harness/network.h"
 #include "harness/scenario.h"
 #include "stats/run_result.h"
+#include "testutil/run_digest.h"
 
 namespace ag::harness {
 namespace {
@@ -42,19 +41,10 @@ void expect_same_results(const stats::RunResult& a, const stats::RunResult& b) {
   EXPECT_EQ(a.totals.gossip_walks, b.totals.gossip_walks);
 }
 
-// RAII guard for the AG_CUSTODY hatch (Network reads it at construction).
-class CustodyHatch {
- public:
-  CustodyHatch() { ::unsetenv("AG_CUSTODY"); }
-  ~CustodyHatch() { ::unsetenv("AG_CUSTODY"); }
-  void off() { ::setenv("AG_CUSTODY", "off", 1); }
-};
-
 TEST(Custody, ArmedButEmptyStoreMatchesPlainRun) {
   // max_messages = 0 builds the whole tier (decorators, contact monitor,
   // gateway flags) but the store refuses everything: no offers ever hit
   // the MAC, so delivery and traffic are identical to a plain run.
-  CustodyHatch hatch;
   const stats::RunResult plain = run_scenario(small_scenario());
 
   ScenarioConfig armed = small_scenario();
@@ -67,28 +57,26 @@ TEST(Custody, ArmedButEmptyStoreMatchesPlainRun) {
   EXPECT_EQ(empty.totals.custody_offers, 0u);
 }
 
-TEST(Custody, EnvHatchRestoresThePlainStack) {
-  // AG_CUSTODY=off with custody fully configured: not even the contact
-  // monitor is built, so the run is event-for-event the plain one.
-  CustodyHatch hatch;
+TEST(Custody, DisabledConfigBuildsThePlainStack) {
+  // Custody fully configured but enabled=false: not even the contact
+  // monitor is built, so every schema field of the run — sim_events and
+  // the event mix included — is the plain run's.
   const stats::RunResult plain = run_scenario(small_scenario());
 
   ScenarioConfig configured = small_scenario();
   configured.with_custody(/*max_messages=*/64, /*gateway_count=*/2);
-  hatch.off();
+  configured.custody.enabled = false;
   Network net{configured};
   EXPECT_FALSE(net.custody_enabled());
   EXPECT_EQ(net.custody(0), nullptr);
   net.run();
   const stats::RunResult off = net.result();
 
-  expect_same_results(plain, off);
-  EXPECT_EQ(plain.totals.sim_events, off.totals.sim_events);
+  EXPECT_EQ(testutil::digest_of(off).all, testutil::digest_of(plain).all);
   EXPECT_FALSE(off.totals.dtn_active);
 }
 
 TEST(Custody, DecoratorWrapsEveryNodeAndMarksGateways) {
-  CustodyHatch hatch;
   ScenarioConfig c = small_scenario();
   c.with_custody(/*max_messages=*/16, /*gateway_count=*/2);
   Network net{c};
@@ -111,7 +99,6 @@ TEST(Custody, RebootReofferDoesNotDoubleDeliver) {
   // with it); on reboot its neighbors re-offer custody. The sink's MsgId
   // dedup must keep every re-delivered packet from being counted twice:
   // received can never exceed the member's eligible window.
-  CustodyHatch hatch;
   ScenarioConfig c = small_scenario();
   c.with_custody(/*max_messages=*/64, /*gateway_count=*/0);
   c.faults.plan.crash(3, 40.0, 30.0, faults::RebootPolicy::wipe);
@@ -129,7 +116,6 @@ TEST(Custody, RebootReofferDoesNotDoubleDeliver) {
 }
 
 TEST(Custody, GatewayBridgesThePartitionHeal) {
-  CustodyHatch hatch;
   ScenarioConfig c = small_scenario();
   c.waypoint.max_speed_mps = 0.2;  // near-static so the cut stays real
   c.with_custody(/*max_messages=*/32, /*gateway_count=*/2);
@@ -147,7 +133,6 @@ TEST(Custody, GatewayBridgesThePartitionHeal) {
 }
 
 TEST(Custody, DeterministicAcrossIdenticalRuns) {
-  CustodyHatch hatch;
   ScenarioConfig c = small_scenario(3);
   c.with_custody(/*max_messages=*/8, /*gateway_count=*/1);
   c.faults.spec.churn_per_min = 1.0;
@@ -165,7 +150,6 @@ TEST(Custody, SessionsAccountUsersServed) {
   // 50 users per member node with a 50 % duty cycle: the session layer
   // must report hosted sessions and a served count bounded by the
   // eligible (session, packet) pairs — without perturbing delivery.
-  CustodyHatch hatch;
   const stats::RunResult plain = run_scenario(small_scenario());
 
   ScenarioConfig c = small_scenario();

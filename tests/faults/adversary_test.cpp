@@ -1,12 +1,11 @@
 // End-to-end coverage of the adversary axis and trust layer on a full
 // harness Network: the zero-cost guarantees (armed-but-zero adversaries,
-// trust bookkeeping on an all-honest run, the AG_ADVERSARY=off hatch),
+// trust bookkeeping on an all-honest run, a configured but unarmed axis),
 // role synthesis, the attack modes degrading delivery, decorator
 // stacking under custody, detection/isolation, and the churn
 // interaction (trust state across a reboot per RebootPolicy).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -16,6 +15,7 @@
 #include "harness/network.h"
 #include "harness/scenario.h"
 #include "stats/run_result.h"
+#include "testutil/run_digest.h"
 
 namespace ag::harness {
 namespace {
@@ -52,21 +52,12 @@ void expect_same_results(const stats::RunResult& a, const stats::RunResult& b) {
   EXPECT_EQ(a.totals.sim_events, b.totals.sim_events);
 }
 
-// RAII guard for the AG_ADVERSARY hatch (Network reads it at construction).
-class AdversaryHatch {
- public:
-  AdversaryHatch() { ::unsetenv("AG_ADVERSARY"); }
-  ~AdversaryHatch() { ::unsetenv("AG_ADVERSARY"); }
-  void off() { ::setenv("AG_ADVERSARY", "off", 1); }
-};
-
 TEST(Adversary, ArmedButZeroAdversariesMatchesPlainRun) {
   // Trust enabled at adversary_fraction zero builds the whole axis
   // (decorator on every node, junk-reply scoring on every monitor) but
   // no role misbehaves and no isolation fires: the run must be
   // bit-identical to a plain one, on both a tree substrate and the
   // flooding family.
-  AdversaryHatch hatch;
   for (const Protocol protocol :
        {Protocol::maodv_gossip, Protocol::flooding_gossip}) {
     const stats::RunResult plain = run_scenario(small_scenario(1, protocol));
@@ -88,25 +79,27 @@ TEST(Adversary, ArmedButZeroAdversariesMatchesPlainRun) {
   }
 }
 
-TEST(Adversary, EnvHatchRestoresThePlainStack) {
-  // AG_ADVERSARY=off with the axis fully armed (roles AND trust): not
-  // even the decorator is built, so the run is event-for-event the
-  // plain one and the "adversary" rng stream is never drawn from.
-  AdversaryHatch hatch;
+TEST(Adversary, UnarmedConfigBuildsThePlainStack) {
+  // Mode and parameters set, but fraction 0, no scripted roles and trust
+  // off: not even the decorator is built and the "adversary" rng stream
+  // is never drawn from, so every schema field of the run — sim_events
+  // and the event mix included — is the plain run's.
   const stats::RunResult plain = run_scenario(small_scenario());
 
   ScenarioConfig configured = small_scenario();
-  configured.with_adversaries(0.3, faults::AdversaryMode::blackhole).with_trust();
-  hatch.off();
+  configured.with_adversaries(0.0, faults::AdversaryMode::selective_forward);
+  configured.faults.spec.adversary_drop = 0.5;
+  configured.trust.watchdog = true;
+  configured.trust.forward_ratio_floor = 0.2;
+  configured.trust.min_expected = 60.0;
   Network net{configured};
   EXPECT_FALSE(net.adversary_enabled());
   EXPECT_EQ(net.adversary(0), nullptr);
   net.run();
   const stats::RunResult off = net.result();
 
-  expect_same_results(plain, off);
+  EXPECT_EQ(testutil::digest_of(off).all, testutil::digest_of(plain).all);
   EXPECT_FALSE(off.totals.adversary_active);
-  EXPECT_EQ(off.totals.adversary_nodes, 0u);
 }
 
 TEST(AdversarySynthesis, DeterministicSparesSourceAndValidates) {
@@ -178,7 +171,6 @@ TEST(Adversary, BlackholesDegradeFloodingDelivery) {
   // Five scripted blackholes in a sparse flooding mesh absorb relayed
   // payloads while still ACKing at the MAC: honest members downstream
   // lose coverage, so delivery must drop against the clean run.
-  AdversaryHatch hatch;
   ScenarioConfig clean = small_scenario(1, Protocol::flooding_gossip);
   clean.phy.transmission_range_m = 60.0;
   const stats::RunResult plain = run_scenario(clean);
@@ -203,7 +195,6 @@ TEST(Adversary, BlackholesDegradeFloodingDelivery) {
 TEST(Adversary, GossipPoisonFabricatesReplies) {
   // Poisoners sit on member nodes of a lossy tree substrate, so gossip
   // recovery walks reach them and get junk (or silence) back.
-  AdversaryHatch hatch;
   ScenarioConfig c = small_scenario(1, Protocol::maodv_gossip);
   c.phy.transmission_range_m = 60.0;
   c.waypoint.max_speed_mps = 2.0;
@@ -221,7 +212,6 @@ TEST(Adversary, GossipPoisonFabricatesReplies) {
 TEST(Adversary, CustodyStacksOverAdversaryRouter) {
   // Both decorators on every node, custody outermost: custody handoffs
   // flow through the adversary seam, and the typed accessors agree.
-  AdversaryHatch hatch;
   ScenarioConfig c = small_scenario();
   c.with_custody(/*max_messages=*/16, /*gateway_count=*/2);
   c.faults.plan.adversary(3, faults::AdversaryMode::blackhole);
@@ -253,7 +243,6 @@ TEST(Adversary, WatchdogDetectsAndIsolatesSelectiveForwarders) {
   // reports detections, not false positives. (A pure blackhole goes
   // RF-silent on flooding and is invisible to overhearing — the partial
   // dropper is the watchdog's quarry.)
-  AdversaryHatch hatch;
   ScenarioConfig c = small_scenario(1, Protocol::flooding_gossip);
   c.phy.transmission_range_m = 60.0;
   for (const std::size_t node : {2u, 5u, 7u, 9u, 11u}) {
@@ -275,7 +264,6 @@ TEST(Adversary, RebootWipesOrPreservesTrustStatePerPolicy) {
   // selective forwarder crashes and reboots. RebootPolicy::wipe
   // power-cycles the trust tables (it forgets who it distrusted);
   // preserve models a radio outage, so the isolation survives.
-  AdversaryHatch hatch;
   ScenarioConfig base = small_scenario(1, Protocol::flooding_gossip);
   base.phy.transmission_range_m = 60.0;
   for (const std::size_t node : {2u, 5u, 7u, 9u, 11u}) {

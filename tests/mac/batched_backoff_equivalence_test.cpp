@@ -1,132 +1,73 @@
-// Whole-run equivalence of the analytic (event-elided) MAC backoff
-// countdown against the AG_BATCHED_BACKOFF=off per-slot reference
-// machine: fusing DIFS + backoff into one deadline and crediting slots
-// analytically on pause must not move a single transmission, so full
-// simulations are bit-identical — only the number of simulator events
-// differs (that's the point). This is the suite the
-// BENCH_fig2/BENCH_churn byte-identity claim rests on, the analogue of
-// dense_tables_equivalence_test for the contention engine.
+// Whole-run equivalence of the fused (event-elided) MAC backoff countdown
+// against the per-slot oracle (tests/reference/), selected at construction
+// through MacParams::countdown: fusing DIFS + backoff into one deadline and
+// crediting slots analytically on pause must not move a single
+// transmission, so full simulations are bit-identical — only the number of
+// simulator events differs (that's the point). This is the suite the
+// BENCH_fig2/BENCH_churn byte-identity claim rests on for the contention
+// engine.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <string>
 
 #include "harness/network.h"
+#include "harness/protocol_registry.h"
 #include "harness/scenario.h"
-#include "mac/csma_mac.h"
-#include "net/data_plane.h"
+#include "reference/engines.h"
+#include "reference/equivalence.h"
 #include "sim/event_category.h"
 #include "stats/run_result.h"
+#include "testutil/run_digest.h"
 
 namespace ag::mac {
 namespace {
 
-harness::ScenarioConfig short_scenario() {
-  harness::ScenarioConfig c;
-  c.node_count = 40;
-  c.duration = sim::SimTime::seconds(40.0);
-  c.workload.start = sim::SimTime::seconds(10.0);
-  c.workload.end = sim::SimTime::seconds(30.0);
-  return c;
-}
-
-stats::RunResult run_with_mode(const harness::ScenarioConfig& config, bool batched) {
-  if (batched) {
-    unsetenv("AG_BATCHED_BACKOFF");
-  } else {
-    setenv("AG_BATCHED_BACKOFF", "off", 1);
-  }
-  EXPECT_EQ(batched_backoff_enabled(), batched);
-  stats::RunResult r = harness::run_scenario(config);
-  unsetenv("AG_BATCHED_BACKOFF");
-  return r;
-}
-
-// Everything the model produced must match; the event-mix counters and
-// sim_events legitimately differ (the batched engine executes fewer
-// events for the same simulated run) and are checked separately.
-void expect_identical_runs(const stats::RunResult& batched,
-                           const stats::RunResult& reference) {
-  const stats::RunResult& a = batched;
-  const stats::RunResult& b = reference;
-  EXPECT_EQ(a.packets_sent, b.packets_sent);
-  ASSERT_EQ(a.members.size(), b.members.size());
-  for (std::size_t i = 0; i < a.members.size(); ++i) {
-    EXPECT_EQ(a.members[i].received, b.members[i].received) << "member " << i;
-    EXPECT_EQ(a.members[i].via_gossip, b.members[i].via_gossip) << "member " << i;
-    EXPECT_EQ(a.members[i].eligible, b.members[i].eligible) << "member " << i;
-    EXPECT_DOUBLE_EQ(a.members[i].mean_latency_s, b.members[i].mean_latency_s)
-        << "member " << i;
-  }
-  EXPECT_EQ(a.totals.channel_transmissions, b.totals.channel_transmissions);
-  EXPECT_EQ(a.totals.phy_deliveries, b.totals.phy_deliveries);
-  EXPECT_EQ(a.totals.mac_unicast, b.totals.mac_unicast);
-  EXPECT_EQ(a.totals.mac_broadcast, b.totals.mac_broadcast);
-  EXPECT_EQ(a.totals.mac_collisions, b.totals.mac_collisions);
-  EXPECT_EQ(a.totals.mac_queue_drops, b.totals.mac_queue_drops);
-  EXPECT_EQ(a.totals.data_forwarded, b.totals.data_forwarded);
-  EXPECT_EQ(a.totals.gossip_walks, b.totals.gossip_walks);
-  EXPECT_EQ(a.totals.gossip_replies, b.totals.gossip_replies);
-  EXPECT_EQ(a.totals.nm_updates, b.totals.nm_updates);
-  EXPECT_EQ(a.totals.table_probes, b.totals.table_probes);
-  EXPECT_EQ(a.totals.pool_hits, b.totals.pool_hits);
-  EXPECT_EQ(a.totals.pool_misses, b.totals.pool_misses);
-  EXPECT_DOUBLE_EQ(a.delivery_ratio(), b.delivery_ratio());
-
-  // The analytic credit must consume exactly the slots the tick chain
-  // consumed — the strongest pin on the pause/resume arithmetic. (Caveat
-  // if this ever trips after a scenario change: a countdown still in
-  // flight at the run cutoff has its elapsed ticks already credited by
-  // the reference engine but not yet by the batched one — these
-  // scenarios end with no countdown in flight, keeping equality exact.)
-  EXPECT_EQ(a.totals.mac_backoff_slots_credited, b.totals.mac_backoff_slots_credited);
-
-  // And the engines must agree on how much work was *represented*: the
-  // reference executes one mac_slot event per consumed slot (nothing
-  // elided), so its tick count reconstructs exactly from the batched
-  // run's elision accounting.
-  const auto slot_idx = sim::category_index(sim::EventCategory::mac_slot);
+// Runs `config` on the fused countdown and on the per-slot one, checks the
+// two agree, and returns the per-slot run.
+stats::RunResult expect_equivalent(const harness::ScenarioConfig& config) {
+  const stats::RunResult a = harness::run_scenario(config);
+  const stats::RunResult b = harness::run_scenario(reference::with_per_slot_mac(config));
+  reference::expect_identical_runs(a, b);
+  // These scenarios end with no countdown in flight, so the contention
+  // accounting matches exactly: the fused credit consumes exactly the
+  // slots the tick chain consumed — the strongest pin on the pause/resume
+  // arithmetic — and its elided DIFS waits reconstruct the per-slot
+  // countdown's difs events.
   const auto difs_idx = sim::category_index(sim::EventCategory::mac_difs);
-  EXPECT_EQ(b.totals.mac_slots_elided(), 0u);
-  EXPECT_EQ(b.totals.mac_difs_elided, 0u);
-  EXPECT_EQ(b.totals.ev_executed[slot_idx], b.totals.mac_backoff_slots_credited);
-  // DIFS waits the fused deadline absorbed + the difs events the batched
-  // engine still executed reconstruct the reference's difs event count.
-  // (Caveats if this ever trips after a scenario change: a countdown in
-  // flight at the run cutoff, or an arrival landing in the exact
-  // microsecond of an anchor with a 1 us DIFS remainder, each shift the
-  // reconstruction by one — these scenarios hit neither.)
+  EXPECT_EQ(a.totals.mac_backoff_slots_credited, b.totals.mac_backoff_slots_credited);
   EXPECT_EQ(a.totals.ev_executed[difs_idx] + a.totals.mac_difs_elided,
             b.totals.ev_executed[difs_idx]);
+
+  // The per-slot countdown executes one mac_slot event per consumed slot
+  // and a mac_difs event per DIFS wait: nothing elided.
+  const auto slot_idx = sim::category_index(sim::EventCategory::mac_slot);
+  EXPECT_EQ(b.totals.mac_events_elided(), 0u);
+  EXPECT_EQ(b.totals.ev_executed[slot_idx], b.totals.mac_backoff_slots_credited);
   if (b.totals.ev_executed[slot_idx] > 0) {
     EXPECT_LT(a.totals.ev_executed[slot_idx], b.totals.ev_executed[slot_idx])
-        << "batched engine should execute fewer mac_slot events";
+        << "the fused countdown should execute fewer mac_slot events";
   }
   EXPECT_LE(a.totals.sim_events, b.totals.sim_events);
+  return b;
 }
 
 TEST(BatchedBackoffEquivalence, WholeRunBitIdenticalToPerSlotReference) {
-  for (const std::uint64_t seed : {1ULL, 2ULL}) {
-    const stats::RunResult batched =
-        run_with_mode(short_scenario().with_seed(seed), true);
-    const stats::RunResult reference =
-        run_with_mode(short_scenario().with_seed(seed), false);
-    expect_identical_runs(batched, reference);
-  }
+  const stats::RunResult per_slot = expect_equivalent(testutil::short_run());
+  EXPECT_EQ(testutil::digest_of(per_slot).engine_independent,
+            testutil::golden_digests("default").engine_independent);
+  expect_equivalent(testutil::short_run().with_seed(2));
 }
 
 TEST(BatchedBackoffEquivalence, ChurnRunBitIdenticalToPerSlotReference) {
   // Churn exercises power_cycle mid-countdown, partition-driven busy/idle
   // flapping, and membership-driven queue churn.
-  harness::ScenarioConfig base = short_scenario();
+  harness::ScenarioConfig base = testutil::short_run();
   base.faults.spec.churn_per_min = 3.0;
   base.faults.spec.crash_fraction = 0.2;
   base.faults.spec.partition_duration_s = 8.0;
-
-  const stats::RunResult batched = run_with_mode(base.with_seed(5), true);
-  const stats::RunResult reference = run_with_mode(base.with_seed(5), false);
-  EXPECT_GT(batched.faults.crashes + batched.faults.leaves + batched.faults.partitions,
+  const stats::RunResult per_slot = expect_equivalent(base.with_seed(5));
+  EXPECT_GT(per_slot.faults.crashes + per_slot.faults.leaves + per_slot.faults.partitions,
             0u);
-  expect_identical_runs(batched, reference);
 }
 
 TEST(BatchedBackoffEquivalence, EveryProtocolBitIdentical) {
@@ -135,30 +76,12 @@ TEST(BatchedBackoffEquivalence, EveryProtocolBitIdentical) {
   for (const harness::Protocol p :
        {harness::Protocol::maodv_gossip, harness::Protocol::odmrp_gossip,
         harness::Protocol::flooding}) {
-    harness::ScenarioConfig c = short_scenario();
-    c.duration = sim::SimTime::seconds(25.0);
-    c.workload.end = sim::SimTime::seconds(20.0);
-    c.with_protocol(p).with_seed(3);
-    expect_identical_runs(run_with_mode(c, true), run_with_mode(c, false));
+    const stats::RunResult per_slot = expect_equivalent(testutil::protocol_cell(p));
+    const std::string name = "protocol/" + harness::ProtocolRegistry::instance().name_of(p);
+    EXPECT_EQ(testutil::digest_of(per_slot).engine_independent,
+              testutil::golden_digests(name).engine_independent)
+        << name;
   }
-}
-
-TEST(BatchedBackoffEquivalence, BitIdenticalOnReferenceTableBackendToo) {
-  // Cross the two escape hatches: the contention engines must agree on
-  // the std::map reference data plane exactly as they do on the dense
-  // one (four-way equivalence, pinned pairwise here and by the dense
-  // suite).
-  harness::ScenarioConfig c = short_scenario();
-  c.duration = sim::SimTime::seconds(25.0);
-  c.workload.end = sim::SimTime::seconds(20.0);
-  c.with_seed(7);
-
-  setenv("AG_DENSE_TABLES", "off", 1);
-  EXPECT_FALSE(net::dense_tables_enabled());
-  const stats::RunResult batched = run_with_mode(c, true);
-  const stats::RunResult reference = run_with_mode(c, false);
-  unsetenv("AG_DENSE_TABLES");
-  expect_identical_runs(batched, reference);
 }
 
 }  // namespace

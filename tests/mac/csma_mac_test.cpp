@@ -8,6 +8,7 @@
 #include "mobility/static_mobility.h"
 #include "phy/channel.h"
 #include "phy/radio.h"
+#include "reference/engines.h"
 #include "sim/simulator.h"
 
 namespace ag::mac {
@@ -39,15 +40,16 @@ net::Packet hello_packet(std::uint32_t src) {
 
 class MacFixture {
  public:
-  explicit MacFixture(std::vector<mobility::Vec2> positions, double range = 100.0)
+  explicit MacFixture(std::vector<mobility::Vec2> positions, double range = 100.0,
+                      MacParams params = {})
       : mobility_{std::move(positions)},
         channel_{sim_, mobility_, phy::PhyParams{range, 2e6, 192.0, 3e8}} {
     for (std::size_t i = 0; i < mobility_.node_count(); ++i) {
-      radios_.push_back(std::make_unique<phy::Radio>(sim_, channel_, i));
+      radios_.push_back(std::make_unique<phy::Radio>(channel_, i));
       channel_.attach(radios_.back().get());
       macs_.push_back(std::make_unique<CsmaMac>(
           sim_, *radios_.back(), channel_, net::NodeId{static_cast<std::uint32_t>(i)},
-          MacParams{}, sim_.rng().stream("mac", i)));
+          params, sim_.rng().stream("mac", i)));
       listeners_.push_back(std::make_unique<RecordingRouting>());
       macs_.back()->set_listener(listeners_.back().get());
     }
@@ -325,12 +327,9 @@ TEST(CsmaMac, BackoffSlotsCreditedMatchesAcrossEngines) {
   std::uint64_t credited[2] = {0, 0};
   std::uint64_t sent[2] = {0, 0};
   for (const bool batched : {true, false}) {
-    if (batched) {
-      unsetenv("AG_BATCHED_BACKOFF");
-    } else {
-      setenv("AG_BATCHED_BACKOFF", "off", 1);
-    }
-    MacFixture f{{{0, 0}, {30, 0}, {60, 0}}};
+    MacParams params;
+    if (!batched) params.countdown = &reference::per_slot_countdown;
+    MacFixture f{{{0, 0}, {30, 0}, {60, 0}}, 100.0, params};
     for (int i = 0; i < 10; ++i) {
       f.macs_[0]->send(net::NodeId::broadcast(), hello_packet(0));
       f.macs_[1]->send(net::NodeId{0}, hello_packet(1));
@@ -338,11 +337,10 @@ TEST(CsmaMac, BackoffSlotsCreditedMatchesAcrossEngines) {
     }
     f.sim_.run_all();
     for (const auto& mac : f.macs_) {
-      credited[batched ? 0 : 1] += mac->counters().backoff_slots_credited;
+      credited[batched ? 0 : 1] += mac->countdown().counters().backoff_slots_credited;
       sent[batched ? 0 : 1] +=
           mac->counters().broadcast_sent + mac->counters().unicast_sent;
     }
-    unsetenv("AG_BATCHED_BACKOFF");
   }
   EXPECT_EQ(credited[0], credited[1]);
   EXPECT_EQ(sent[0], sent[1]);

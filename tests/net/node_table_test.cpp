@@ -1,12 +1,14 @@
 // The dense data-plane containers: NodeTable/IdSet (flat, bitmap-backed)
-// and DenseMap/DenseSet (open addressing), in both the dense and the
-// AG_DENSE_TABLES=off std::map reference modes — same observable
-// behaviour, ascending iteration, probe counters, and the packet pool's
-// slab reuse.
+// and DenseMap/DenseSet (open addressing), checked against a std::map
+// model over seeded random operation sequences — results, size,
+// ascending iteration and one probe count per operation — plus the
+// packet pool's slab reuse.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
 #include <vector>
 
 #include "net/data_plane.h"
@@ -16,75 +18,73 @@
 namespace ag::net {
 namespace {
 
-// Runs `body` once with dense tables on and once with the reference
-// backend, restoring the environment afterwards.
-template <typename F>
-void in_both_modes(F&& body) {
-  unsetenv("AG_DENSE_TABLES");
-  ASSERT_TRUE(dense_tables_enabled());
-  body("dense");
-  setenv("AG_DENSE_TABLES", "off", 1);
-  ASSERT_FALSE(dense_tables_enabled());
-  body("reference");
-  unsetenv("AG_DENSE_TABLES");
+std::uint64_t probes() { return data_plane_counters().table_probes; }
+
+// Checks every entry, in order, against the model.
+void expect_matches(NodeTable<int>& t, const std::map<std::uint32_t, int>& model) {
+  std::vector<std::pair<std::uint32_t, int>> seen;
+  const std::uint64_t before = probes();
+  t.for_each([&](NodeId id, int& v) { seen.emplace_back(id.value(), v); });
+  EXPECT_EQ(probes(), before) << "for_each is not a probe";
+  EXPECT_EQ(seen, (std::vector<std::pair<std::uint32_t, int>>{model.begin(), model.end()}));
+  EXPECT_EQ(t.size(), model.size());
+  EXPECT_EQ(t.empty(), model.empty());
 }
 
-TEST(NodeTable, InsertFindEraseRoundTrip) {
-  in_both_modes([](const std::string& mode) {
-    NodeTable<int> t;
-    EXPECT_TRUE(t.empty()) << mode;
-    EXPECT_EQ(t.find(NodeId{3}), nullptr) << mode;
-
-    t[NodeId{3}] = 30;
-    auto [v, inserted] = t.try_emplace(NodeId{100}, 7);
-    EXPECT_TRUE(inserted) << mode;
-    EXPECT_EQ(*v, 7) << mode;
-    auto [again, second] = t.try_emplace(NodeId{100}, 99);
-    EXPECT_FALSE(second) << mode;
-    EXPECT_EQ(*again, 7) << mode << ": try_emplace must not clobber";
-
-    EXPECT_EQ(t.size(), 2u) << mode;
-    ASSERT_NE(t.find(NodeId{3}), nullptr) << mode;
-    EXPECT_EQ(*t.find(NodeId{3}), 30) << mode;
-    EXPECT_TRUE(t.erase(NodeId{3})) << mode;
-    EXPECT_FALSE(t.erase(NodeId{3})) << mode << ": double erase";
-    EXPECT_EQ(t.size(), 1u) << mode;
-    t.clear();
-    EXPECT_TRUE(t.empty()) << mode;
-  });
-}
-
-TEST(NodeTable, IterationIsAscendingInBothModes) {
-  in_both_modes([](const std::string& mode) {
-    NodeTable<int> t;
-    // Insert deliberately out of order, spanning several bitmap words.
-    for (const std::uint32_t k : {200u, 5u, 130u, 0u, 64u, 63u, 65u}) {
-      t[NodeId{k}] = static_cast<int>(k);
+TEST(NodeTable, RandomOperationsMatchStdMapModel) {
+  std::mt19937_64 rng{20261017};
+  NodeTable<int> t;
+  std::map<std::uint32_t, int> model;
+  for (int step = 0; step < 20000; ++step) {
+    // 300 keys span five bitmap words and several slot regrowths.
+    const auto k = static_cast<std::uint32_t>(rng() % 300);
+    const auto op = rng() % 100;
+    const std::uint64_t before = probes();
+    std::uint64_t expected_probes = 1;
+    if (op < 30) {
+      const int* v = t.find(NodeId{k});
+      const auto it = model.find(k);
+      ASSERT_EQ(v != nullptr, it != model.end()) << "step " << step;
+      if (v != nullptr) {
+        EXPECT_EQ(*v, it->second);
+      }
+    } else if (op < 60) {
+      const auto [v, inserted] = t.try_emplace(NodeId{k}, step);
+      const auto [it, model_inserted] = model.try_emplace(k, step);
+      EXPECT_EQ(inserted, model_inserted) << "step " << step;
+      EXPECT_EQ(*v, it->second) << "try_emplace must not clobber";
+    } else if (op < 85) {
+      EXPECT_EQ(t.erase(NodeId{k}), model.erase(k) > 0) << "step " << step;
+    } else if (op < 98) {
+      expected_probes = 0;
+      const auto mod = static_cast<std::uint32_t>(2 + rng() % 5);
+      std::vector<std::uint32_t> visited;
+      const std::size_t erased = t.erase_if([&](NodeId id, int& v) {
+        visited.push_back(id.value());
+        return (id.value() + static_cast<std::uint32_t>(v)) % mod == 0;
+      });
+      std::vector<std::uint32_t> model_keys;
+      std::size_t model_erased = 0;
+      for (auto it = model.begin(); it != model.end();) {
+        model_keys.push_back(it->first);
+        if ((it->first + static_cast<std::uint32_t>(it->second)) % mod == 0) {
+          it = model.erase(it);
+          ++model_erased;
+        } else {
+          ++it;
+        }
+      }
+      EXPECT_EQ(visited, model_keys) << "erase_if visits every entry ascending";
+      EXPECT_EQ(erased, model_erased);
+    } else {
+      expected_probes = 0;
+      t.clear();
+      model.clear();
     }
-    std::vector<std::uint32_t> keys;
-    t.for_each([&](NodeId id, int& v) {
-      keys.push_back(id.value());
-      EXPECT_EQ(v, static_cast<int>(id.value())) << mode;
-    });
-    EXPECT_EQ(keys, (std::vector<std::uint32_t>{0, 5, 63, 64, 65, 130, 200})) << mode;
-  });
-}
-
-TEST(NodeTable, EraseIfVisitsAscendingAndErases) {
-  in_both_modes([](const std::string& mode) {
-    NodeTable<int> t;
-    for (std::uint32_t k = 0; k < 40; ++k) t[NodeId{k}] = static_cast<int>(k);
-    std::vector<std::uint32_t> visited;
-    const std::size_t erased = t.erase_if([&](NodeId id, int& v) {
-      visited.push_back(id.value());
-      return v % 2 == 0;
-    });
-    EXPECT_EQ(erased, 20u) << mode;
-    EXPECT_EQ(t.size(), 20u) << mode;
-    EXPECT_TRUE(std::is_sorted(visited.begin(), visited.end())) << mode;
-    EXPECT_FALSE(t.contains(NodeId{0})) << mode;
-    EXPECT_TRUE(t.contains(NodeId{1})) << mode;
-  });
+    EXPECT_EQ(probes() - before, expected_probes) << "step " << step << " op " << op;
+    if (step % 97 == 0) expect_matches(t, model);
+  }
+  expect_matches(t, model);
 }
 
 TEST(NodeTable, ErasedSlotsReleaseCapturedState) {
@@ -96,61 +96,75 @@ TEST(NodeTable, ErasedSlotsReleaseCapturedState) {
 }
 
 TEST(IdSet, SetSemantics) {
-  in_both_modes([](const std::string& mode) {
-    IdSet<GroupId> s;
-    EXPECT_TRUE(s.insert(GroupId{1})) << mode;
-    EXPECT_FALSE(s.insert(GroupId{1})) << mode;
-    EXPECT_TRUE(s.contains(GroupId{1})) << mode;
-    EXPECT_EQ(s.size(), 1u) << mode;
-    EXPECT_TRUE(s.erase(GroupId{1})) << mode;
-    EXPECT_FALSE(s.erase(GroupId{1})) << mode;
-    EXPECT_TRUE(s.empty()) << mode;
-  });
+  IdSet<GroupId> s;
+  EXPECT_TRUE(s.insert(GroupId{1}));
+  EXPECT_FALSE(s.insert(GroupId{1}));
+  EXPECT_TRUE(s.contains(GroupId{1}));
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_TRUE(s.erase(GroupId{1}));
+  EXPECT_FALSE(s.erase(GroupId{1}));
+  EXPECT_TRUE(s.empty());
 }
 
-TEST(DenseMap, InsertFindEraseWithCollisionsAndTombstones) {
-  in_both_modes([](const std::string& mode) {
-    DenseMap<int> m;
-    // Enough keys to force several growth rounds past the 16-slot start.
-    for (std::uint64_t k = 0; k < 500; ++k) {
-      auto [v, inserted] = m.try_emplace(k * 0x9e3779b9ULL, static_cast<int>(k));
-      EXPECT_TRUE(inserted) << mode;
-      EXPECT_EQ(*v, static_cast<int>(k)) << mode;
+TEST(DenseMap, RandomOperationsMatchStdMapModelAcrossTombstoneChurn) {
+  // Alternating insert-heavy and erase-heavy phases over sparse packed-id
+  // keys: erase phases leave tombstones, the next insert phase reuses
+  // them, flushes them in same-size rebuilds and doubles the slot array.
+  std::mt19937_64 rng{7};
+  DenseMap<int> m;
+  std::map<std::uint64_t, int> model;
+  for (int step = 0; step < 40000; ++step) {
+    const bool growing = (step / 4000) % 2 == 0;
+    const std::uint64_t k = msg_key(MsgId{NodeId{static_cast<std::uint32_t>(rng() % 64)},
+                                          static_cast<std::uint32_t>(rng() % 64)});
+    const auto op = rng() % 100;
+    const std::uint64_t before = probes();
+    std::uint64_t expected_probes = 1;
+    if (op < 25) {
+      const int* v = m.find(k);
+      const auto it = model.find(k);
+      ASSERT_EQ(v != nullptr, it != model.end()) << "step " << step;
+      if (v != nullptr) {
+        EXPECT_EQ(*v, it->second);
+      }
+    } else if (op < (growing ? 85u : 45u)) {
+      const auto [v, inserted] = m.try_emplace(k, step);
+      const auto [it, model_inserted] = model.try_emplace(k, step);
+      EXPECT_EQ(inserted, model_inserted) << "step " << step;
+      EXPECT_EQ(*v, it->second) << "try_emplace must not clobber";
+    } else if (op < 99) {
+      EXPECT_EQ(m.erase(k), model.erase(k) > 0) << "step " << step;
+    } else {
+      expected_probes = 0;
+      // Unspecified visit order: compare the erased key sets.
+      std::vector<std::uint64_t> erased;
+      m.erase_if([&](std::uint64_t key, int& v) {
+        if (v % 3 != 0) return false;
+        erased.push_back(key);
+        return true;
+      });
+      std::vector<std::uint64_t> model_erased;
+      std::erase_if(model, [&](const auto& kv) {
+        if (kv.second % 3 != 0) return false;
+        model_erased.push_back(kv.first);
+        return true;
+      });
+      std::sort(erased.begin(), erased.end());
+      EXPECT_EQ(erased, model_erased);
     }
-    EXPECT_EQ(m.size(), 500u) << mode;
-    for (std::uint64_t k = 0; k < 500; ++k) {
-      ASSERT_NE(m.find(k * 0x9e3779b9ULL), nullptr) << mode << " key " << k;
-      EXPECT_EQ(*m.find(k * 0x9e3779b9ULL), static_cast<int>(k)) << mode;
+    if (step == 20000) {
+      m.clear();
+      model.clear();
     }
-    // Erase half (tombstones), then re-insert and look everything up again:
-    // tombstone reuse and the rebuild path must not lose entries.
-    for (std::uint64_t k = 0; k < 500; k += 2) {
-      EXPECT_TRUE(m.erase(k * 0x9e3779b9ULL)) << mode;
+    EXPECT_EQ(probes() - before, expected_probes) << "step " << step << " op " << op;
+    ASSERT_EQ(m.size(), model.size()) << "step " << step;
+    if (step % 1000 == 999) {
+      for (const auto& [key, v] : model) {
+        ASSERT_NE(m.find(key), nullptr) << "step " << step;
+        EXPECT_EQ(*m.find(key), v);
+      }
     }
-    EXPECT_EQ(m.size(), 250u) << mode;
-    for (std::uint64_t k = 500; k < 900; ++k) {
-      m.try_emplace(k * 0x9e3779b9ULL, static_cast<int>(k));
-    }
-    for (std::uint64_t k = 1; k < 500; k += 2) {
-      ASSERT_NE(m.find(k * 0x9e3779b9ULL), nullptr) << mode << " key " << k;
-    }
-    for (std::uint64_t k = 0; k < 500; k += 2) {
-      EXPECT_EQ(m.find(k * 0x9e3779b9ULL), nullptr) << mode;
-    }
-  });
-}
-
-TEST(DenseMap, EraseIfPurgesMatchingEntries) {
-  in_both_modes([](const std::string& mode) {
-    DenseMap<int> m;
-    for (std::uint64_t k = 0; k < 100; ++k) m[k] = static_cast<int>(k);
-    const std::size_t erased =
-        m.erase_if([](std::uint64_t, int& v) { return v >= 50; });
-    EXPECT_EQ(erased, 50u) << mode;
-    EXPECT_EQ(m.size(), 50u) << mode;
-    EXPECT_TRUE(m.contains(0)) << mode;
-    EXPECT_FALSE(m.contains(99)) << mode;
-  });
+  }
 }
 
 TEST(DenseSet, MsgIdKeysRoundTrip) {
@@ -163,29 +177,6 @@ TEST(DenseSet, MsgIdKeysRoundTrip) {
   EXPECT_FALSE(s.contains(msg_key(b)));
   EXPECT_TRUE(s.erase(msg_key(a)));
   EXPECT_TRUE(s.empty());
-}
-
-TEST(DataPlaneCounters, TableOpsCountIdenticallyInBothModes) {
-  // The probe counter counts logical operations, so dense and reference
-  // backends must report the same number for the same op sequence.
-  std::vector<std::uint64_t> per_mode;
-  in_both_modes([&](const std::string&) {
-    const std::uint64_t before = data_plane_counters().table_probes;
-    NodeTable<int> t;
-    DenseMap<int> m;
-    for (std::uint32_t k = 0; k < 50; ++k) {
-      t[NodeId{k}] = 1;
-      (void)t.find(NodeId{k});
-      m[k] = 1;
-      (void)m.find(k);
-    }
-    t.erase(NodeId{0});
-    m.erase(0);
-    per_mode.push_back(data_plane_counters().table_probes - before);
-  });
-  ASSERT_EQ(per_mode.size(), 2u);
-  EXPECT_EQ(per_mode[0], per_mode[1]);
-  EXPECT_GT(per_mode[0], 0u);
 }
 
 TEST(PacketPool, ReusesSlabsAndCountsHits) {

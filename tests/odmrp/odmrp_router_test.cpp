@@ -39,7 +39,7 @@ class OdmrpNetwork {
     for (std::size_t i = 0; i < mobility_.node_count(); ++i) {
       auto n = std::make_unique<Node>();
       const net::NodeId id{static_cast<std::uint32_t>(i)};
-      n->radio = std::make_unique<phy::Radio>(sim_, channel_, i);
+      n->radio = std::make_unique<phy::Radio>(channel_, i);
       channel_.attach(n->radio.get());
       n->mac = std::make_unique<mac::CsmaMac>(sim_, *n->radio, channel_, id,
                                               mac::MacParams{},

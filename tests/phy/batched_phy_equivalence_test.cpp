@@ -1,141 +1,90 @@
 // Whole-run equivalence of the batched phy delivery engine against the
-// AG_BATCHED_PHY=off per-receiver reference machine: sweeping one
-// completion event over a delivery group and analytically eliding
-// doomed receptions must not move a single listener callback, so full
-// simulations are bit-identical — only the number of simulator events
-// differs (that's the point). This is the suite the
-// BENCH_fig2/BENCH_churn byte-identity claim rests on, the phy-layer
-// analogue of batched_backoff_equivalence_test.
+// per-receiver oracle (tests/reference/), selected at construction through
+// PhyParams::engine: sweeping one completion event over a delivery group
+// and analytically eliding doomed receptions must not move a single
+// listener callback, so full simulations are bit-identical — only the
+// number of simulator events differs (that's the point). This is the
+// suite the BENCH_fig2/BENCH_churn byte-identity claim rests on, the
+// phy-layer analogue of batched_backoff_equivalence_test. The dtn and
+// adversary cells run both oracles at once (per-receiver phy and per-slot
+// MAC), the engine pair the figure_dtn/figure_adversary JSONs rest on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/network.h"
+#include "harness/protocol_registry.h"
 #include "harness/scenario.h"
-#include "mac/csma_mac.h"
 #include "mobility/static_mobility.h"
-#include "net/data_plane.h"
 #include "phy/channel.h"
 #include "phy/radio.h"
+#include "reference/engines.h"
+#include "reference/equivalence.h"
 #include "sim/event_category.h"
 #include "sim/simulator.h"
 #include "stats/run_result.h"
+#include "testutil/run_digest.h"
 
 namespace ag::phy {
 namespace {
 
-harness::ScenarioConfig short_scenario() {
-  harness::ScenarioConfig c;
-  c.node_count = 40;
-  c.duration = sim::SimTime::seconds(40.0);
-  c.workload.start = sim::SimTime::seconds(10.0);
-  c.workload.end = sim::SimTime::seconds(30.0);
-  return c;
+using reference::expect_identical_runs;
+using testutil::golden_digests;
+
+// Runs `config` on the production engines and on `oracle(config)`, checks
+// the two agree, and returns the oracle run.
+stats::RunResult expect_equivalent(
+    const harness::ScenarioConfig& config,
+    harness::ScenarioConfig (*oracle)(harness::ScenarioConfig) = reference::with_reference_phy) {
+  const stats::RunResult batched = harness::run_scenario(config);
+  const stats::RunResult reference = harness::run_scenario(oracle(config));
+  expect_identical_runs(batched, reference);
+  if (oracle == &reference::with_reference_phy) {
+    // One countdown on both sides: its bookkeeping matches exactly too.
+    EXPECT_EQ(batched.totals.mac_backoff_slots_credited,
+              reference.totals.mac_backoff_slots_credited);
+    EXPECT_EQ(batched.totals.mac_events_elided(), reference.totals.mac_events_elided());
+    EXPECT_EQ(batched.totals.pool_hits, reference.totals.pool_hits);
+  }
+  // The per-receiver engine never elides; the batched one must actually
+  // be batching (every run here has multi-receiver delivery groups).
+  EXPECT_EQ(reference.totals.phy_events_elided(), 0u);
+  EXPECT_GT(batched.totals.phy_events_elided(), 0u);
+  EXPECT_LE(batched.totals.sim_events, reference.totals.sim_events);
+  return reference;
 }
 
-stats::RunResult run_with_mode(const harness::ScenarioConfig& config, bool batched) {
-  if (batched) {
-    unsetenv("AG_BATCHED_PHY");
-  } else {
-    setenv("AG_BATCHED_PHY", "off", 1);
-  }
-  EXPECT_EQ(batched_phy_enabled(), batched);
-  stats::RunResult r = harness::run_scenario(config);
-  unsetenv("AG_BATCHED_PHY");
-  return r;
-}
-
-// Everything the model produced must match; sim_events and the
-// phy_delivery event counts legitimately differ (the batched engine
-// executes fewer events for the same simulated run) and are pinned
-// separately through the elision accounting.
-void expect_identical_runs(const stats::RunResult& batched,
-                           const stats::RunResult& reference) {
-  const stats::RunResult& a = batched;
-  const stats::RunResult& b = reference;
-  EXPECT_EQ(a.packets_sent, b.packets_sent);
-  ASSERT_EQ(a.members.size(), b.members.size());
-  for (std::size_t i = 0; i < a.members.size(); ++i) {
-    EXPECT_EQ(a.members[i].received, b.members[i].received) << "member " << i;
-    EXPECT_EQ(a.members[i].via_gossip, b.members[i].via_gossip) << "member " << i;
-    EXPECT_EQ(a.members[i].eligible, b.members[i].eligible) << "member " << i;
-    EXPECT_DOUBLE_EQ(a.members[i].mean_latency_s, b.members[i].mean_latency_s)
-        << "member " << i;
-  }
-  EXPECT_EQ(a.totals.channel_transmissions, b.totals.channel_transmissions);
-  EXPECT_EQ(a.totals.phy_deliveries, b.totals.phy_deliveries);
-  EXPECT_EQ(a.totals.phy_suppressed_down, b.totals.phy_suppressed_down);
-  EXPECT_EQ(a.totals.phy_suppressed_partition, b.totals.phy_suppressed_partition);
-  EXPECT_EQ(a.totals.mac_unicast, b.totals.mac_unicast);
-  EXPECT_EQ(a.totals.mac_broadcast, b.totals.mac_broadcast);
-  EXPECT_EQ(a.totals.mac_collisions, b.totals.mac_collisions);
-  EXPECT_EQ(a.totals.mac_queue_drops, b.totals.mac_queue_drops);
-  EXPECT_EQ(a.totals.mac_backoff_slots_credited, b.totals.mac_backoff_slots_credited);
-  EXPECT_EQ(a.totals.data_forwarded, b.totals.data_forwarded);
-  EXPECT_EQ(a.totals.gossip_walks, b.totals.gossip_walks);
-  EXPECT_EQ(a.totals.gossip_replies, b.totals.gossip_replies);
-  EXPECT_EQ(a.totals.nm_updates, b.totals.nm_updates);
-  EXPECT_EQ(a.totals.table_probes, b.totals.table_probes);
-  EXPECT_EQ(a.totals.pool_hits, b.totals.pool_hits);
-  EXPECT_EQ(a.totals.pool_misses, b.totals.pool_misses);
-  EXPECT_DOUBLE_EQ(a.delivery_ratio(), b.delivery_ratio());
-
-  // The engines must agree on how much work was *represented*. The
-  // reference never elides, and every non-phy category is untouched by
-  // the phy engine choice — the MACs above see the identical callback
-  // sequence, so their RNG streams and event schedules match event for
-  // event.
-  EXPECT_EQ(b.totals.phy_rx_elided, 0u);
-  EXPECT_EQ(b.totals.phy_rx_coalesced, 0u);
-  const auto phy_idx = sim::category_index(sim::EventCategory::phy_delivery);
-  for (std::size_t c = 0; c < sim::kEventCategoryCount; ++c) {
-    if (c == phy_idx) continue;
-    EXPECT_EQ(a.totals.ev_scheduled[c], b.totals.ev_scheduled[c]) << "category " << c;
-    EXPECT_EQ(a.totals.ev_executed[c], b.totals.ev_executed[c]) << "category " << c;
-  }
-  // Reconstruction identity: completions the batched engine coalesced
-  // into group sweeps or elided outright, added back to the events it
-  // did execute, reproduce the reference engine's phy_delivery event
-  // count exactly (elided credits settle as their would-be finish times
-  // pass, so the identity holds across run cutoffs too).
-  EXPECT_EQ(a.totals.ev_executed[phy_idx] + a.totals.phy_rx_elided +
-                a.totals.phy_rx_coalesced,
-            b.totals.ev_executed[phy_idx]);
-  EXPECT_LE(a.totals.ev_scheduled[phy_idx], b.totals.ev_scheduled[phy_idx]);
-  EXPECT_LE(a.totals.sim_events, b.totals.sim_events);
-  // A 40-node broadcast mesh has multi-receiver delivery groups in every
-  // run — the batched engine must actually be batching.
-  EXPECT_GT(a.totals.phy_events_elided(), 0u);
-  EXPECT_LT(a.totals.ev_executed[phy_idx], b.totals.ev_executed[phy_idx]);
+// Both oracles at once: per-receiver phy under the per-slot MAC.
+harness::ScenarioConfig with_both_oracles(harness::ScenarioConfig c) {
+  return reference::with_per_slot_mac(reference::with_reference_phy(std::move(c)));
 }
 
 TEST(BatchedPhyEquivalence, WholeRunBitIdenticalToPerReceiverReference) {
-  for (const std::uint64_t seed : {1ULL, 2ULL}) {
-    const stats::RunResult batched =
-        run_with_mode(short_scenario().with_seed(seed), true);
-    const stats::RunResult reference =
-        run_with_mode(short_scenario().with_seed(seed), false);
-    expect_identical_runs(batched, reference);
-  }
+  const stats::RunResult reference = expect_equivalent(testutil::short_run());
+  EXPECT_EQ(testutil::digest_of(reference).engine_independent,
+            golden_digests("default").engine_independent);
+  expect_equivalent(testutil::short_run().with_seed(2));
 }
 
 TEST(BatchedPhyEquivalence, ChurnRunBitIdenticalToPerReceiverReference) {
   // Churn exercises abort_receptions on crash (radio loses power
   // mid-frame), down-node suppression inside delivery groups, and
   // partition-driven group membership changes.
-  harness::ScenarioConfig base = short_scenario();
+  harness::ScenarioConfig base = testutil::short_run();
   base.faults.spec.churn_per_min = 3.0;
   base.faults.spec.crash_fraction = 0.2;
   base.faults.spec.partition_duration_s = 8.0;
-
-  const stats::RunResult batched = run_with_mode(base.with_seed(5), true);
-  const stats::RunResult reference = run_with_mode(base.with_seed(5), false);
-  EXPECT_GT(batched.faults.crashes + batched.faults.leaves + batched.faults.partitions,
+  const stats::RunResult reference = expect_equivalent(base.with_seed(5));
+  EXPECT_GT(reference.faults.crashes + reference.faults.leaves + reference.faults.partitions,
             0u);
-  expect_identical_runs(batched, reference);
+
+  const stats::RunResult background = expect_equivalent(testutil::churn_background());
+  EXPECT_EQ(testutil::digest_of(background).engine_independent,
+            golden_digests("churn").engine_independent);
 }
 
 TEST(BatchedPhyEquivalence, EveryProtocolBitIdentical) {
@@ -144,46 +93,63 @@ TEST(BatchedPhyEquivalence, EveryProtocolBitIdentical) {
   for (const harness::Protocol p :
        {harness::Protocol::maodv_gossip, harness::Protocol::odmrp_gossip,
         harness::Protocol::flooding}) {
-    harness::ScenarioConfig c = short_scenario();
-    c.duration = sim::SimTime::seconds(25.0);
-    c.workload.end = sim::SimTime::seconds(20.0);
-    c.with_protocol(p).with_seed(3);
-    expect_identical_runs(run_with_mode(c, true), run_with_mode(c, false));
+    const stats::RunResult reference = expect_equivalent(testutil::protocol_cell(p));
+    const std::string name = "protocol/" + harness::ProtocolRegistry::instance().name_of(p);
+    EXPECT_EQ(testutil::digest_of(reference).engine_independent,
+              golden_digests(name).engine_independent)
+        << name;
   }
 }
 
 TEST(BatchedPhyEquivalence, BitIdenticalUnderPerSlotMacReferenceToo) {
-  // Cross the two contention escape hatches: the per-slot reference MAC
-  // polls medium_busy()/idle_for() far more aggressively than the
-  // batched countdown, so run the phy A/B under it to pin the facade
-  // queries at every slot edge.
-  harness::ScenarioConfig c = short_scenario();
-  c.duration = sim::SimTime::seconds(25.0);
-  c.workload.end = sim::SimTime::seconds(20.0);
+  // The per-slot MAC polls medium_busy()/idle_for() far more aggressively
+  // than the fused countdown, so run the phy A/B under it to pin the
+  // facade queries at every slot edge.
+  harness::ScenarioConfig c = testutil::protocol_cell(harness::Protocol::maodv_gossip);
   c.with_seed(7);
-
-  setenv("AG_BATCHED_BACKOFF", "off", 1);
-  EXPECT_FALSE(mac::batched_backoff_enabled());
-  const stats::RunResult batched = run_with_mode(c, true);
-  const stats::RunResult reference = run_with_mode(c, false);
-  unsetenv("AG_BATCHED_BACKOFF");
+  const stats::RunResult batched = harness::run_scenario(reference::with_per_slot_mac(c));
+  const stats::RunResult reference = harness::run_scenario(with_both_oracles(c));
   expect_identical_runs(batched, reference);
 }
 
-TEST(BatchedPhyEquivalence, BitIdenticalOnReferenceTableBackendToo) {
-  // And the data-plane hatch: four-way equivalence with AG_DENSE_TABLES,
-  // pinned pairwise here and by the dense suite.
-  harness::ScenarioConfig c = short_scenario();
-  c.duration = sim::SimTime::seconds(25.0);
-  c.workload.end = sim::SimTime::seconds(20.0);
-  c.with_seed(11);
+TEST(BatchedPhyEquivalence, ReferenceEnginesReproduceDtnCells) {
+  // figure_dtn's smoke grid: custody budget {0, 64} x session duty
+  // {1, 0.25} over the crash/partition/churn background.
+  for (const std::uint32_t budget : {0u, 64u}) {
+    for (const double duty : {1.0, 0.25}) {
+      SCOPED_TRACE("budget=" + std::to_string(budget) + " duty=" + std::to_string(duty));
+      const stats::RunResult reference =
+          expect_equivalent(testutil::dtn_cell(budget, duty), with_both_oracles);
+      EXPECT_GT(reference.totals.sessions.users_served, 0u);
+      if (budget == 64 && duty == 0.25) {
+        EXPECT_EQ(testutil::digest_of(reference).engine_independent,
+                  golden_digests("dtn/custody").engine_independent);
+      }
+    }
+  }
+}
 
-  setenv("AG_DENSE_TABLES", "off", 1);
-  EXPECT_FALSE(net::dense_tables_enabled());
-  const stats::RunResult batched = run_with_mode(c, true);
-  const stats::RunResult reference = run_with_mode(c, false);
-  unsetenv("AG_DENSE_TABLES");
-  expect_identical_runs(batched, reference);
+TEST(BatchedPhyEquivalence, ReferenceEnginesReproduceAdversaryCells) {
+  // figure_adversary's smoke grid: its two modes, isolation off and on,
+  // over flooding_gossip and maodv_gossip.
+  for (const harness::Protocol p :
+       {harness::Protocol::flooding_gossip, harness::Protocol::maodv_gossip}) {
+    for (const auto& [mode, name] :
+         {std::pair{faults::AdversaryMode::selective_forward, "selective_forward"},
+          std::pair{faults::AdversaryMode::gossip_poison, "gossip_poison"}}) {
+      for (const bool isolation : {false, true}) {
+        SCOPED_TRACE(std::string{name} + " isolation=" + (isolation ? "on" : "off") +
+                     " over " + harness::ProtocolRegistry::instance().name_of(p));
+        const stats::RunResult reference = expect_equivalent(
+            testutil::adversary_cell(p, mode, isolation), with_both_oracles);
+        EXPECT_GT(reference.totals.adversary_nodes, 0u);
+        if (p == harness::Protocol::flooding_gossip && isolation) {
+          EXPECT_EQ(testutil::digest_of(reference).engine_independent,
+                    golden_digests(std::string{"adversary/"} + name).engine_independent);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -248,12 +214,6 @@ struct TraceRun {
 };
 
 TraceRun run_trace(bool batched) {
-  if (batched) {
-    unsetenv("AG_BATCHED_PHY");
-  } else {
-    setenv("AG_BATCHED_PHY", "off", 1);
-  }
-  EXPECT_EQ(batched_phy_enabled(), batched);
 
   // Two dense cells 600 m apart: every node hears its whole cell and
   // nothing across — delivery groups of up to 11 receivers, overlapping
@@ -271,11 +231,13 @@ TraceRun run_trace(bool batched) {
 
   sim::Simulator sim;
   mobility::StaticMobility mobility{std::move(positions)};
-  Channel channel{sim, mobility, PhyParams{100.0, 2e6, 192.0, 3e8}};
+  PhyParams params{100.0, 2e6, 192.0, 3e8};
+  if (!batched) params.engine = &reference::per_receiver_phy;
+  Channel channel{sim, mobility, params};
   std::vector<std::unique_ptr<Radio>> radios;
   std::vector<std::unique_ptr<TracingListener>> listeners;
   for (std::size_t i = 0; i < n; ++i) {
-    radios.push_back(std::make_unique<Radio>(sim, channel, i));
+    radios.push_back(std::make_unique<Radio>(channel, i));
     channel.attach(radios.back().get());
     listeners.push_back(std::make_unique<TracingListener>(sim));
     radios.back()->set_listener(listeners.back().get());
@@ -313,7 +275,6 @@ TraceRun run_trace(bool batched) {
   out.deliveries = channel.deliveries();
   out.rx_elided = channel.rx_elided();
   out.rx_coalesced = channel.rx_coalesced();
-  unsetenv("AG_BATCHED_PHY");
   return out;
 }
 

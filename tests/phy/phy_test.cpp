@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "mobility/static_mobility.h"
 #include "phy/channel.h"
 #include "phy/radio.h"
+#include "reference/engines.h"
 #include "sim/simulator.h"
 
 namespace ag::phy {
@@ -38,11 +38,15 @@ mac::Frame test_frame(std::uint32_t src, std::uint32_t dst_broadcast = 1) {
 
 class PhyFixture {
  public:
-  explicit PhyFixture(std::vector<mobility::Vec2> positions, double range = 100.0)
+  // `batched` false builds the channel on the per-receiver oracle engine.
+  explicit PhyFixture(std::vector<mobility::Vec2> positions, double range = 100.0,
+                      bool batched = true)
       : mobility_{std::move(positions)},
-        channel_{sim_, mobility_, PhyParams{range, 2e6, 192.0, 3e8}} {
+        channel_{sim_, mobility_,
+                 PhyParams{range, 2e6, 192.0, 3e8, true,
+                           batched ? nullptr : &reference::per_receiver_phy}} {
     for (std::size_t i = 0; i < mobility_.node_count(); ++i) {
-      radios_.push_back(std::make_unique<Radio>(sim_, channel_, i));
+      radios_.push_back(std::make_unique<Radio>(channel_, i));
       channel_.attach(radios_.back().get());
       listeners_.push_back(std::make_unique<RecordingListener>());
       radios_.back()->set_listener(listeners_.back().get());
@@ -231,24 +235,9 @@ TEST(Channel, GoingDownDestroysReceptionInProgress) {
   EXPECT_EQ(f.radios_[1]->counters().frames_corrupted, 0u);
 }
 
-// Pins AG_BATCHED_PHY for the scope of one fixture; the default
-// (unset) runs the batched engine, "off" the per-receiver reference.
-struct PhyModeGuard {
-  explicit PhyModeGuard(bool batched) {
-    if (batched) {
-      unsetenv("AG_BATCHED_PHY");
-    } else {
-      setenv("AG_BATCHED_PHY", "off", 1);
-    }
-    EXPECT_EQ(batched_phy_enabled(), batched);
-  }
-  ~PhyModeGuard() { unsetenv("AG_BATCHED_PHY"); }
-};
-
 TEST(Radio, AbortMidFrameDropsDeliveryUnderBothEngines) {
   for (const bool batched : {true, false}) {
-    PhyModeGuard mode{batched};
-    PhyFixture f{{{0, 0}, {50, 0}}};
+    PhyFixture f{{{0, 0}, {50, 0}}, 100.0, batched};
     f.radios_[0]->transmit(test_frame(0));
     // First bit has arrived (prop ~1 us); kill the reception mid-frame.
     f.sim_.run_until(f.sim_.now() + sim::Duration::us(100));
@@ -269,8 +258,7 @@ TEST(Radio, AbortMidFrameDropsDeliveryUnderBothEngines) {
 
 TEST(Radio, TxStartMidReceptionCorruptsItUnderBothEngines) {
   for (const bool batched : {true, false}) {
-    PhyModeGuard mode{batched};
-    PhyFixture f{{{0, 0}, {50, 0}}};
+    PhyFixture f{{{0, 0}, {50, 0}}, 100.0, batched};
     f.radios_[0]->transmit(test_frame(0));
     // Let the frame's first bit land at node 1, then start transmitting
     // there: half duplex destroys the reception in progress.
@@ -301,8 +289,7 @@ TEST(Radio, EqualEndCollisionFiresSingleIdleTransitionUnderBothEngines) {
   // move on_medium_idle to the first finish). Regression for the strict
   // `<` in the elision rule.
   for (const bool batched : {true, false}) {
-    PhyModeGuard mode{batched};
-    PhyFixture f{{{0, 0}, {80, 0}, {-80, 0}}, 100.0};
+    PhyFixture f{{{0, 0}, {80, 0}, {-80, 0}}, 100.0, batched};
     f.radios_[1]->transmit(test_frame(1));
     f.radios_[2]->transmit(test_frame(2));
     f.sim_.run_all();

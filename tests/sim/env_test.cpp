@@ -28,30 +28,6 @@ class EnvVar {
 
 constexpr char kVar[] = "AG_ENV_TEST_KNOB";
 
-TEST(EnvFlagOff, UnsetMeansFeatureStaysOn) {
-  EnvVar v{kVar};
-  EXPECT_FALSE(env_flag_off(kVar));
-}
-
-TEST(EnvFlagOff, RecognizedOffSpellings) {
-  EnvVar v{kVar};
-  for (const char* s : {"off", "0", "false"}) {
-    v.set(s);
-    EXPECT_TRUE(env_flag_off(kVar)) << "value \"" << s << "\"";
-  }
-}
-
-TEST(EnvFlagOff, AnythingElseMeansOn) {
-  EnvVar v{kVar};
-  // Only the exact lowercase spellings disable; everything else —
-  // including empty, whitespace, and shouty variants — leaves the
-  // feature on.
-  for (const char* s : {"", " ", "OFF", "Off", "no", "1", "on", "true", "0 "}) {
-    v.set(s);
-    EXPECT_FALSE(env_flag_off(kVar)) << "value \"" << s << "\"";
-  }
-}
-
 TEST(EnvPositiveU32, UnsetReturnsFallback) {
   EnvVar v{kVar};
   EXPECT_EQ(env_positive_u32(kVar, 7, 1000), 7u);
