@@ -225,15 +225,8 @@ inline void handle_help_flag(int argc, char** argv, const char* description,
       "                    workers (missing cells land in failed_shards)\n"
       "  --shard-dir=<d>   checkpoint directory (default shards_<name>/)\n"
       "  --help, -h        this text\n"
-      "\nEnvironment knobs (all runs are bit-identical across the engine\n"
-      "hatches; see README \"Environment knobs\"):\n"
+      "\nEnvironment knobs (see README \"Environment knobs\"):\n"
       "  AG_SEEDS=<n>            seeds per point (overrides the default)\n"
-      "  AG_SPATIAL_INDEX=off    brute-force phy neighbor scan\n"
-      "  AG_DENSE_TABLES=off     ordered-map table backends\n"
-      "  AG_BATCHED_BACKOFF=off  per-slot MAC contention reference engine\n"
-      "  AG_BATCHED_PHY=off      per-receiver phy delivery reference engine\n"
-      "  AG_CUSTODY=off          force the DTN custody tier off\n"
-      "  AG_ADVERSARY=off        force the adversary/trust axis off\n"
       "  AG_SHARDS=<n>           concurrent shard workers for --shards\n"
       "  AG_SHARD_TIMEOUT=<s>    per-shard wall-clock kill timeout (600)\n"
       "  AG_SHARD_RETRIES=<n>    attempts per shard before failing it (3)\n"

@@ -33,9 +33,6 @@
 #include <vector>
 
 #include "figure_common.h"
-#include "mac/csma_mac.h"
-#include "net/data_plane.h"
-#include "phy/channel.h"
 
 namespace {
 
@@ -115,12 +112,8 @@ int main(int argc, char** argv) {
       nodes_from_cli(argc, argv, {40, 120, 250, 500, 1000, 2000});
 
   harness::ScenarioConfig base = bench::paper_base();
-  const bool index_on = base.phy.use_spatial_index && !phy::spatial_index_env_off();
 
-  std::printf("== Scaling smoke (constant mean degree, short run; spatial index %s, "
-              "batched backoff %s, batched phy %s) ==\n",
-              index_on ? "on" : "OFF", mac::batched_backoff_enabled() ? "on" : "OFF",
-              phy::batched_phy_enabled() ? "on" : "OFF");
+  std::printf("== Scaling smoke (constant mean degree, short run) ==\n");
   std::printf("%-8s %-7s %-10s %-12s %-12s per-protocol received avg (delivery)\n",
               "#nodes", "sim(s)", "wall(s)", "sim events", "events/s");
 
@@ -175,12 +168,7 @@ int main(int argc, char** argv) {
   std::ostringstream keys;
   keys << "  \"experiment\": \"scale_smoke\",\n"
        << "  \"param\": \"node_count\",\n"
-       << "  \"seeds\": " << seeds << ",\n"
-       << "  \"spatial_index\": " << (index_on ? "true" : "false") << ",\n"
-       << "  \"dense_tables\": " << (net::dense_tables_enabled() ? "true" : "false") << ",\n"
-       << "  \"batched_backoff\": " << (mac::batched_backoff_enabled() ? "true" : "false")
-       << ",\n"
-       << "  \"batched_phy\": " << (phy::batched_phy_enabled() ? "true" : "false") << ",\n";
+       << "  \"seeds\": " << seeds << ",\n";
   if (!bench::write_cells_json("BENCH_scale.json", keys.str(), cells, kGroups)) {
     std::fprintf(stderr, "error: failed to write BENCH_scale.json\n");
     return 1;

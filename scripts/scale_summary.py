@@ -114,17 +114,8 @@ def main() -> int:
     print(f"### {title}\n")
     if experiment == "dtn":
         print(f"seeds: {seeds} · users/node: {data.get('sessions_per_node', '?')}\n")
-    elif experiment == "adversary":
-        print(f"seeds: {seeds}\n")
     else:
-        index = json.dumps(data.get("spatial_index", "?"))
-        dense = json.dumps(data.get("dense_tables", "?"))
-        batched = json.dumps(data.get("batched_backoff", "?"))
-        batched_phy = json.dumps(data.get("batched_phy", "?"))
-        print(
-            f"seeds: {seeds} · spatial index: {index} · dense tables: {dense}"
-            f" · batched backoff: {batched} · batched phy: {batched_phy}\n"
-        )
+        print(f"seeds: {seeds}\n")
     # Sharded-driver accounting: the "sharding" object exists only when a
     # sharded run degraded (shards exhausted their retries); healthy and
     # pre-shard BENCH files render the placeholder.
