@@ -14,6 +14,7 @@
 #ifndef AG_BENCH_FIGURE_COMMON_H
 #define AG_BENCH_FIGURE_COMMON_H
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -251,23 +252,44 @@ struct ShardCli {
   std::vector<std::string> forwarded;  // bench args minus shard-control flags
 };
 
+// The number after a shard flag's '=': decimal digits only, within
+// [min, max] — the rule read_shard_json applies to checkpoint numbers
+// (strtoull alone would take a sign and wrap "-1" around). Anything else
+// names the argument and exits 2.
+inline std::uint64_t shard_flag_number(const char* exe, const char* arg, std::uint64_t min,
+                                       std::uint64_t max) {
+  const char* text = std::strchr(arg, '=') + 1;
+  char* end = nullptr;
+  errno = 0;
+  const bool digits = *text >= '0' && *text <= '9';
+  const std::uint64_t v = digits ? std::strtoull(text, &end, 10) : 0;
+  if (!digits || errno != 0 || *end != '\0' || v < min || v > max) {
+    std::fprintf(stderr, "%s: bad \"%s\" — expected a decimal integer in [%llu, %llu]\n",
+                 exe, arg, static_cast<unsigned long long>(min),
+                 static_cast<unsigned long long>(max));
+    std::exit(2);
+  }
+  return v;
+}
+
 inline ShardCli parse_shard_cli(int argc, char** argv) {
+  constexpr std::uint64_t kU32Max = 0xffffffffu;
   ShardCli cli;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--shard=", 8) == 0) {
       cli.worker = true;
-      cli.shard_index = static_cast<std::size_t>(std::strtoull(arg + 8, nullptr, 10));
+      cli.shard_index = shard_flag_number(argv[0], arg, 0, kU32Max);
     } else if (std::strncmp(arg, "--shard-attempt=", 16) == 0) {
-      const unsigned long v = std::strtoul(arg + 16, nullptr, 10);
-      cli.shard_attempt = v > 0 ? static_cast<std::uint32_t>(v) : 1u;
+      cli.shard_attempt = static_cast<std::uint32_t>(shard_flag_number(argv[0], arg, 1, kU32Max));
     } else if (std::strncmp(arg, "--shard-dir=", 12) == 0) {
       cli.shard_dir = arg + 12;
     } else if (std::strcmp(arg, "--shards") == 0) {
       cli.supervise = true;
     } else if (std::strncmp(arg, "--shards=", 9) == 0) {
+      // Same bounds as the AG_SHARDS knob.
       cli.supervise = true;
-      cli.concurrency = static_cast<unsigned>(std::strtoul(arg + 9, nullptr, 10));
+      cli.concurrency = static_cast<unsigned>(shard_flag_number(argv[0], arg, 1, 4096));
     } else if (std::strcmp(arg, "--resume") == 0) {
       cli.supervise = true;
       cli.resume = true;

@@ -1,6 +1,6 @@
 // Self-tests for the crash-resumable sharded driver: checkpoint
 // round-trip exactness, atomic-write semantics, the AG_SHARD_FAULT
-// grammar, and — driving the real shard_probe worker binary through
+// grammar, the benches' shard flags, and — driving the real shard_probe worker binary through
 // fork/exec — every recovery path: crash + retry, hang + timeout,
 // corrupt-output detection, retry exhaustion degrading to failed_shards,
 // resume-after-crash, merge-only, and interrupt. The headline invariant
@@ -10,6 +10,7 @@
 
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -19,6 +20,7 @@
 
 #include <unistd.h>
 
+#include "figure_common.h"
 #include "harness/experiment_builder.h"
 #include "harness/atomic_io.h"
 #include "harness/interrupt.h"
@@ -297,6 +299,42 @@ TEST_F(ShardDriverTest, FaultGrammarParsesAndRejects) {
   }
   ::unsetenv("AG_SHARD_FAULT");
   EXPECT_EQ(harness::shard_fault_from_env().mode, harness::ShardFault::Mode::none);
+}
+
+bench::ShardCli parse_shard_args(std::vector<std::string> args) {
+  std::vector<char*> argv{const_cast<char*>("figure")};
+  for (std::string& a : args) argv.push_back(a.data());
+  return bench::parse_shard_cli(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(ShardCli, ParsesDecimalShardFlags) {
+  const bench::ShardCli worker =
+      parse_shard_args({"--shard=7", "--shard-attempt=3", "--smoke"});
+  EXPECT_TRUE(worker.worker);
+  EXPECT_EQ(worker.shard_index, 7u);
+  EXPECT_EQ(worker.shard_attempt, 3u);
+  EXPECT_EQ(worker.forwarded, std::vector<std::string>{"--smoke"});
+  const bench::ShardCli supervisor = parse_shard_args({"--shards=4"});
+  EXPECT_TRUE(supervisor.supervise);
+  EXPECT_EQ(supervisor.concurrency, 4u);
+}
+
+TEST(ShardCliDeathTest, RejectsMalformedShardNumbers) {
+  // Each used to be read by bare strtoul: "--shard=abc" ran as shard 0,
+  // "--shards=-1" asked for 4294967295 workers, "--shard-attempt=-3"
+  // became attempt 4294967293 and "--shards=abc" fell back silently.
+  for (const char* bad :
+       {"--shard=abc", "--shard=-1", "--shard=", "--shard=+2", "--shard= 2", "--shard=2x",
+        "--shard=4294967296", "--shard=99999999999999999999", "--shards=-1",
+        "--shards=abc", "--shards=0", "--shards=4097", "--shard-attempt=-3",
+        "--shard-attempt=0", "--shard-attempt=abc"}) {
+    std::string named = "bad \"";  // the message names the argument verbatim
+    for (const char* c = bad; *c != '\0'; ++c) {
+      if (std::strchr(".^$|()[]{}*+?\\", *c) != nullptr) named += '\\';
+      named += *c;
+    }
+    EXPECT_EXIT(parse_shard_args({bad}), ::testing::ExitedWithCode(2), named + "\"") << bad;
+  }
 }
 
 TEST_F(ShardDriverTest, ShardedRunMergesByteIdenticalToSerial) {
