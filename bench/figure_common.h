@@ -14,7 +14,6 @@
 #ifndef AG_BENCH_FIGURE_COMMON_H
 #define AG_BENCH_FIGURE_COMMON_H
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -252,18 +251,13 @@ struct ShardCli {
   std::vector<std::string> forwarded;  // bench args minus shard-control flags
 };
 
-// The number after a shard flag's '=': decimal digits only, within
-// [min, max] — the rule read_shard_json applies to checkpoint numbers
-// (strtoull alone would take a sign and wrap "-1" around). Anything else
-// names the argument and exits 2.
+// The number after a shard flag's '=', by the checkpoint rule
+// (harness::parse_decimal_u64) and within [min, max]. Anything else names
+// the argument and exits 2.
 inline std::uint64_t shard_flag_number(const char* exe, const char* arg, std::uint64_t min,
                                        std::uint64_t max) {
-  const char* text = std::strchr(arg, '=') + 1;
-  char* end = nullptr;
-  errno = 0;
-  const bool digits = *text >= '0' && *text <= '9';
-  const std::uint64_t v = digits ? std::strtoull(text, &end, 10) : 0;
-  if (!digits || errno != 0 || *end != '\0' || v < min || v > max) {
+  std::uint64_t v = 0;
+  if (!harness::parse_decimal_u64(std::strchr(arg, '=') + 1, v) || v < min || v > max) {
     std::fprintf(stderr, "%s: bad \"%s\" — expected a decimal integer in [%llu, %llu]\n",
                  exe, arg, static_cast<unsigned long long>(min),
                  static_cast<unsigned long long>(max));

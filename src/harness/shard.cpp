@@ -310,7 +310,7 @@ class FieldReader {
 
   void field(const char* key, std::uint64_t& v) {
     const Json* j = need(key, Json::Type::number);
-    if (j != nullptr && !parse_u64(j->text, v)) fail(std::string{"bad u64 in "} + key);
+    if (j != nullptr && !parse_decimal_u64(j->text, v)) fail(std::string{"bad u64 in "} + key);
   }
   void field(const char* key, std::uint32_t& v) {
     std::uint64_t wide = 0;
@@ -342,7 +342,7 @@ class FieldReader {
       return;
     }
     for (std::size_t i = 0; i < N; ++i) {
-      if (j->items[i].type != Json::Type::number || !parse_u64(j->items[i].text, v[i])) {
+      if (j->items[i].type != Json::Type::number || !parse_decimal_u64(j->items[i].text, v[i])) {
         fail(std::string{"bad u64 in "} + key);
         return;
       }
@@ -362,15 +362,6 @@ class FieldReader {
   [[nodiscard]] const std::string& error() const { return error_; }
 
  private:
-  // Decimal digits only: strtoull would also take a sign and wrap "-1"
-  // around to 2^64 - 1.
-  static bool parse_u64(const std::string& text, std::uint64_t& v) {
-    if (text.empty() || text[0] < '0' || text[0] > '9') return false;
-    errno = 0;
-    char* end = nullptr;
-    v = std::strtoull(text.c_str(), &end, 10);
-    return errno == 0 && end != text.c_str() && *end == '\0';
-  }
   const Json* need(const char* key, Json::Type type) {
     if (!error_.empty()) return nullptr;
     const Json* j = obj_.find(key);
@@ -416,6 +407,14 @@ bool read_object(const Json* obj, const char* what, Visit visit, std::string& er
 }
 
 }  // namespace
+
+bool parse_decimal_u64(const std::string& text, std::uint64_t& v) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  v = std::strtoull(text.c_str(), &end, 10);
+  return errno == 0 && *end == '\0';
+}
 
 std::string shard_file_name(std::size_t index) {
   return "shard_" + std::to_string(index) + ".json";

@@ -69,6 +69,11 @@ struct ShardFault {
   }
 };
 
+// Decimal digits only, without overflow (strtoull alone would take a
+// sign and wrap "-1" around): the rule for every number a checkpoint or a
+// shard flag carries.
+[[nodiscard]] bool parse_decimal_u64(const std::string& text, std::uint64_t& v);
+
 // Parses AG_SHARD_FAULT (warning on stderr + no fault for a malformed
 // value, mirroring the AG_SEEDS contract).
 [[nodiscard]] ShardFault shard_fault_from_env();
