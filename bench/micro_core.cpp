@@ -123,6 +123,50 @@ void BM_MemberCacheObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_MemberCacheObserve);
 
+// What one saturated-cell run did.
+struct CellRun {
+  std::uint64_t events{0};
+  std::uint64_t delivered{0};
+  std::uint64_t mac_slot_events{0};
+  std::uint64_t rx_elided{0};
+  std::uint64_t rx_coalesced{0};
+};
+
+// Nodes at `positions`, all in mutual range, every interface queue
+// stuffed with `frames` broadcasts, run to completion.
+CellRun run_saturated_cell(std::vector<mobility::Vec2> positions, int frames,
+                           const phy::PhyParams& phy_params, const mac::MacParams& mac_params) {
+  sim::Simulator sim;
+  mobility::StaticMobility mobility{std::move(positions)};
+  phy::Channel channel{sim, mobility, phy_params};
+  std::vector<std::unique_ptr<phy::Radio>> radios;
+  std::vector<std::unique_ptr<mac::CsmaMac>> macs;
+  for (std::size_t i = 0; i < mobility.node_count(); ++i) {
+    radios.push_back(std::make_unique<phy::Radio>(channel, i));
+    channel.attach(radios.back().get());
+    macs.push_back(std::make_unique<mac::CsmaMac>(
+        sim, *radios.back(), channel, net::NodeId{static_cast<std::uint32_t>(i)},
+        mac_params, sim.rng().stream("mac", i)));
+  }
+  for (int f = 0; f < frames; ++f) {
+    for (auto& m : macs) {
+      net::Packet p;
+      p.src = m->self();
+      p.payload = aodv::HelloMsg{m->self(), net::SeqNo{1}};
+      m->send(net::NodeId::broadcast(), std::move(p));
+    }
+  }
+  sim.run_all();
+  CellRun run;
+  run.events = sim.executed_events();
+  run.mac_slot_events =
+      sim.event_mix().executed[sim::category_index(sim::EventCategory::mac_slot)];
+  run.rx_elided = channel.rx_elided();
+  run.rx_coalesced = channel.rx_coalesced();
+  for (auto& m : macs) run.delivered += m->counters().delivered_up;
+  return run;
+}
+
 // Saturated single-cell contention: every node in mutual range, every
 // interface queue stuffed with broadcasts, so the run is pure CSMA
 // contention — the isolation bench for the analytic backoff countdown.
@@ -134,41 +178,17 @@ BENCHMARK(BM_MemberCacheObserve);
 void BM_SaturatedCellContention(benchmark::State& state) {
   mac::MacParams params;
   if (state.range(0) == 0) params.countdown = &reference::per_slot_countdown;
-  constexpr std::size_t kNodes = 10;
-  constexpr int kFramesPerNode = 40;
+  std::vector<mobility::Vec2> positions;
+  for (std::size_t i = 0; i < 10; ++i) positions.push_back({static_cast<double>(i) * 5.0, 0.0});
   std::uint64_t events = 0;
   std::uint64_t delivered = 0;
   std::uint64_t mac_slot_events = 0;
   for (auto _ : state) {
-    std::vector<mobility::Vec2> positions;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      positions.push_back({static_cast<double>(i) * 5.0, 0.0});
-    }
-    sim::Simulator sim;
-    mobility::StaticMobility mobility{std::move(positions)};
-    phy::Channel channel{sim, mobility, phy::PhyParams{100.0, 2e6, 192.0, 3e8}};
-    std::vector<std::unique_ptr<phy::Radio>> radios;
-    std::vector<std::unique_ptr<mac::CsmaMac>> macs;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      radios.push_back(std::make_unique<phy::Radio>(channel, i));
-      channel.attach(radios.back().get());
-      macs.push_back(std::make_unique<mac::CsmaMac>(
-          sim, *radios.back(), channel, net::NodeId{static_cast<std::uint32_t>(i)},
-          params, sim.rng().stream("mac", i)));
-    }
-    for (int f = 0; f < kFramesPerNode; ++f) {
-      for (auto& m : macs) {
-        net::Packet p;
-        p.src = m->self();
-        p.payload = aodv::HelloMsg{m->self(), net::SeqNo{1}};
-        m->send(net::NodeId::broadcast(), std::move(p));
-      }
-    }
-    sim.run_all();
-    events += sim.executed_events();
-    mac_slot_events +=
-        sim.event_mix().executed[sim::category_index(sim::EventCategory::mac_slot)];
-    for (auto& m : macs) delivered += m->counters().delivered_up;
+    const CellRun run =
+        run_saturated_cell(positions, 40, phy::PhyParams{100.0, 2e6, 192.0, 3e8}, params);
+    events += run.events;
+    delivered += run.delivered;
+    mac_slot_events += run.mac_slot_events;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   if (delivered > 0) {
@@ -184,53 +204,30 @@ BENCHMARK(BM_SaturatedCellContention)->Arg(1)->Arg(0)->Unit(benchmark::kMillisec
 
 // Dense-cell delivery storm: every node in mutual range, every queue
 // stuffed with broadcasts — each transmission fans out to n-1 receivers,
-// so the per-receiver reference engine executes one finish event per
-// (frame, receiver) pair while the batched engine sweeps each group
-// with one completion event and elides doomed receptions outright. The
-// isolation bench for phy::BatchedPhy. Reports events per delivered
-// frame plus the elided/coalesced reception split. Arg(1) = batched
-// delivery engine (production), Arg(0) = the per-receiver oracle engine
-// from tests/reference/.
+// so the per-receiver engine executes one finish event per (frame,
+// receiver) pair while the batched engine sweeps each group with one
+// completion event and elides doomed receptions outright. The isolation
+// bench for phy::BatchedPhy. Reports events per delivered frame plus the
+// elided/coalesced reception split. Arg(1) = batched delivery engine
+// (production), Arg(0) = the per-receiver oracle engine from
+// tests/reference/.
 void BM_DenseCellDeliveryStorm(benchmark::State& state) {
   phy::PhyParams params{100.0, 2e6, 192.0, 3e8};
   if (state.range(0) == 0) params.engine = &reference::per_receiver_phy;
-  constexpr std::size_t kNodes = 24;
-  constexpr int kFramesPerNode = 30;
+  std::vector<mobility::Vec2> positions;
+  for (std::size_t i = 0; i < 24; ++i) {
+    positions.push_back({static_cast<double>(i % 6) * 8.0, static_cast<double>(i / 6) * 8.0});
+  }
   std::uint64_t events = 0;
   std::uint64_t delivered = 0;
   std::uint64_t rx_elided = 0;
   std::uint64_t rx_coalesced = 0;
   for (auto _ : state) {
-    std::vector<mobility::Vec2> positions;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      positions.push_back({static_cast<double>(i % 6) * 8.0,
-                           static_cast<double>(i / 6) * 8.0});
-    }
-    sim::Simulator sim;
-    mobility::StaticMobility mobility{std::move(positions)};
-    phy::Channel channel{sim, mobility, params};
-    std::vector<std::unique_ptr<phy::Radio>> radios;
-    std::vector<std::unique_ptr<mac::CsmaMac>> macs;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      radios.push_back(std::make_unique<phy::Radio>(channel, i));
-      channel.attach(radios.back().get());
-      macs.push_back(std::make_unique<mac::CsmaMac>(
-          sim, *radios.back(), channel, net::NodeId{static_cast<std::uint32_t>(i)},
-          mac::MacParams{}, sim.rng().stream("mac", i)));
-    }
-    for (int f = 0; f < kFramesPerNode; ++f) {
-      for (auto& m : macs) {
-        net::Packet p;
-        p.src = m->self();
-        p.payload = aodv::HelloMsg{m->self(), net::SeqNo{1}};
-        m->send(net::NodeId::broadcast(), std::move(p));
-      }
-    }
-    sim.run_all();
-    events += sim.executed_events();
-    rx_elided += channel.rx_elided();
-    rx_coalesced += channel.rx_coalesced();
-    for (auto& m : macs) delivered += m->counters().delivered_up;
+    const CellRun run = run_saturated_cell(positions, 30, params, mac::MacParams{});
+    events += run.events;
+    delivered += run.delivered;
+    rx_elided += run.rx_elided;
+    rx_coalesced += run.rx_coalesced;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   if (delivered > 0) {

@@ -53,8 +53,7 @@ Network::Network(const ScenarioConfig& config)
   // DTN custody tier: decorator + contact monitor, built only when the
   // scenario asks for it. Off, the stack below is exactly the pre-custody
   // one.
-  const bool custody_on = config_.custody.enabled;
-  if (custody_on) {
+  if (config_.custody.enabled) {
     custody_.assign(config_.node_count, nullptr);
     gateway_.assign(config_.node_count, 0);
     // Designated gateways, spread evenly over the node index space (node
@@ -93,7 +92,7 @@ Network::Network(const ScenarioConfig& config)
       adversary_[i] = wrapped.get();
       stack->router = std::move(wrapped);
     }
-    if (custody_on) {
+    if (config_.custody.enabled) {
       // Wrap whatever the registry built: custody is protocol-agnostic.
       auto wrapped = std::make_unique<dtn::CustodyRouter>(
           sim_, *stack->mac, std::move(stack->router), config_.custody,
@@ -169,7 +168,7 @@ Network::Network(const ScenarioConfig& config)
     injector_->arm();
   }
 
-  if (custody_on) {
+  if (config_.custody.enabled) {
     contact_monitor_ = std::make_unique<dtn::ContactMonitor>(
         sim_, *mobility_, *channel_, config_.node_count,
         config_.phy.transmission_range_m, config_.custody.contact_poll,

@@ -1,10 +1,8 @@
 // CSMA/CA contention countdown: DIFS deference, then the backoff slots the
 // MAC drew, frozen while the medium is busy. CsmaMac keeps the RNG draws
-// and watches the medium: it sets each countdown's slots, resumes the
-// countdown when the medium goes idle and pauses it when the medium goes
-// busy. The countdown schedules the wait on its own timer and calls `done`
-// when it completes. Production runs FusedCountdown; a test can install
-// another countdown through MacParams::countdown.
+// (set_slots) and watches the medium (resume/pause); the countdown owns
+// the timer and calls `done` when it completes. Production runs
+// FusedCountdown; a test can install another through MacParams::countdown.
 #ifndef AG_MAC_COUNTDOWN_H
 #define AG_MAC_COUNTDOWN_H
 
@@ -20,13 +18,9 @@ namespace ag::mac {
 class Countdown {
  public:
   struct Counters {
-    // Whole backoff slots consumed, whether ticked one event at a time or
-    // credited analytically in a batch. The same in every countdown.
-    std::uint64_t backoff_slots_credited{0};
-    // DIFS waits a fused deadline absorbed: countdowns that served a DIFS
-    // remainder *and* backoff slots in one event, where a per-slot
-    // countdown runs a separate mac_difs event at the anchor. Executed
-    // mac_difs events + difs_events_elided is the same in every countdown.
+    std::uint64_t backoff_slots_credited{0};  // whole slots consumed
+    // DIFS waits a fused deadline served together with backoff slots,
+    // where a per-slot countdown runs its own mac_difs event.
     std::uint64_t difs_events_elided{0};
   };
 
@@ -36,7 +30,7 @@ class Countdown {
 
   // Arms a fresh countdown of `slots` backoff slots, DIFS not yet served.
   void set_slots(std::uint32_t slots) { slots_ = slots; }
-  // Power cycle: drops the countdown without crediting anything.
+  // Power cycle: drops the countdown, crediting nothing.
   void reset() {
     timer_.cancel();
     slots_ = 0;
@@ -70,12 +64,11 @@ class Countdown {
   Counters counters_;
 };
 
-// Event-elided countdown: DIFS deference and the remaining backoff slots
-// fuse into ONE scheduled deadline, and a busy transition pauses
-// analytically — whole slots elapsed since DIFS completion are credited in
-// O(1), the partial slot in progress is forfeited, exactly as a per-slot
-// tick machine would have done. Whole runs are bit-identical to a per-slot
-// countdown; see ARCHITECTURE.md "MAC contention".
+// Event-elided countdown: the DIFS remainder and every remaining slot fuse
+// into ONE deadline, and a pause credits the whole slots elapsed since DIFS
+// completed in O(1), forfeiting the partial slot — exactly what a per-slot
+// tick machine does, so whole runs are bit-identical to one (see
+// ARCHITECTURE.md "MAC contention").
 class FusedCountdown final : public Countdown {
  public:
   // `max_propagation` bounds any in-range sender's quantized propagation
@@ -91,14 +84,10 @@ class FusedCountdown final : public Countdown {
   void fire() override;
 
   sim::Duration max_propagation_;
-  // The instant DIFS deference completes for the armed countdown —
-  // backoff slots are counted from here. Valid while the timer is pending.
+  // While the timer is pending: when DIFS deference completes (slots
+  // count from here), and the DIFS remainder the deadline covers besides
+  // slots (zero when DIFS was already served).
   sim::SimTime anchor_;
-  // The DIFS remainder the armed deadline covers in addition to backoff
-  // slots (zero when DIFS was already served — a per-slot countdown would
-  // run a separate difs event at the anchor otherwise). Valid under the
-  // same condition as the anchor; drives the difs_events_elided
-  // accounting, including the exact-anchor tie rule.
   sim::Duration fused_difs_remaining_;
 };
 

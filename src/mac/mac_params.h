@@ -15,17 +15,14 @@ class Simulator;
 namespace ag::mac {
 
 class Countdown;
-struct MacParams;
-
-// Builds a MAC's contention countdown (see mac/countdown.h): `done` is
-// called when the countdown completes; `max_propagation` bounds any
-// in-range sender's propagation delay.
-using CountdownFactory = std::unique_ptr<Countdown> (*)(sim::Simulator& sim,
-                                                        const MacParams& params,
-                                                        sim::Duration max_propagation,
-                                                        std::function<void()> done);
 
 struct MacParams {
+  // Builds a MAC's contention countdown (see mac::FusedCountdown).
+  using CountdownFactory = std::unique_ptr<Countdown> (*)(sim::Simulator& sim,
+                                                          const MacParams& params,
+                                                          sim::Duration max_propagation,
+                                                          std::function<void()> done);
+
   sim::Duration slot{sim::Duration::us(20)};
   sim::Duration sifs{sim::Duration::us(10)};
   sim::Duration difs{sim::Duration::us(50)};

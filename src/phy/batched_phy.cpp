@@ -10,8 +10,8 @@ BatchedPhy::BatchedPhy(sim::Simulator& sim, Channel& channel)
     : sim_{sim}, channel_{channel} {}
 
 void BatchedPhy::attach() {
+  listeners_.push_back(nullptr);
   counters_.emplace_back();
-  if (listeners_.size() < counters_.size()) listeners_.resize(counters_.size(), nullptr);
   transmitting_.push_back(0);
   rx_count_.push_back(0);
   has_clean_.push_back(0);

@@ -47,7 +47,6 @@ class BatchedPhy final : public PhyEngine {
   // Radio::set_listener lands here — the hot notification paths read the
   // flat table instead of chasing a Radio pointer per state change.
   void set_listener(std::size_t node, RadioListener* listener) override {
-    if (node >= listeners_.size()) listeners_.resize(node + 1, nullptr);
     listeners_[node] = listener;
   }
 

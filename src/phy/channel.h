@@ -90,8 +90,6 @@ class Channel {
 
   [[nodiscard]] double distance_between(std::size_t a, std::size_t b) const;
 
-  // True when receiver lookup goes through the spatial index.
-  [[nodiscard]] bool spatial_index_enabled() const { return params_.use_spatial_index; }
   // The live index, or nullptr before the first transmit / when disabled.
   [[nodiscard]] const SpatialIndex* spatial_index() const { return index_.get(); }
 

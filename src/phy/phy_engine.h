@@ -1,8 +1,7 @@
-// The radio state engine behind every phy::Radio. A Radio is a facade that
-// forwards each call here with its node index; the Channel hands each
-// frame's receiver group to deliver_group. Production runs
-// phy::BatchedPhy; a test can build a Channel on another engine through
-// PhyParams::engine.
+// The radio state engine behind every phy::Radio: a Radio forwards each
+// call here with its node index, and the Channel hands over each frame's
+// receiver group. Production runs phy::BatchedPhy; a test can install
+// another engine through PhyParams::engine.
 #ifndef AG_PHY_PHY_ENGINE_H
 #define AG_PHY_PHY_ENGINE_H
 
@@ -39,6 +38,7 @@ class PhyEngine {
   virtual ~PhyEngine() = default;
 
   // Adds the next node; Channel::attach calls it in node-index order.
+  // Every other call takes an attached node.
   virtual void attach() = 0;
   virtual void set_listener(std::size_t node, RadioListener* listener) = 0;
 

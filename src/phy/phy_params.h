@@ -14,11 +14,10 @@ namespace ag::phy {
 class Channel;
 class PhyEngine;
 
-// Builds the radio state engine a Channel runs (see phy/phy_engine.h).
-using PhyEngineFactory = std::unique_ptr<PhyEngine> (*)(sim::Simulator& sim,
-                                                        Channel& channel);
-
 struct PhyParams {
+  // Builds the radio state engine a Channel runs (see phy/phy_engine.h).
+  using EngineFactory = std::unique_ptr<PhyEngine> (*)(sim::Simulator& sim, Channel& channel);
+
   double transmission_range_m{75.0};
   double bitrate_bps{2e6};
   // PLCP preamble + header at 1 Mbps, 802.11 DSSS long preamble.
@@ -31,7 +30,7 @@ struct PhyParams {
   bool use_spatial_index{true};
   // Engine seam, set only by tests: nullptr runs phy::BatchedPhy; a test
   // installs an oracle engine here (tests/reference/).
-  PhyEngineFactory engine{nullptr};
+  EngineFactory engine{nullptr};
 };
 
 }  // namespace ag::phy

@@ -197,7 +197,7 @@ mac::Frame broadcast_frame(std::uint32_t src) {
 
 TEST(ChannelSpatialIndex, FaultedNodesNeverReceiveWithIndexOn) {
   IndexedFixture f{{{0, 0}, {40, 0}, {80, 0}, {500, 0}}, 100.0, /*use_index=*/true};
-  ASSERT_TRUE(f.channel.spatial_index_enabled());
+  ASSERT_TRUE(f.channel.params().use_spatial_index);
 
   f.channel.set_node_down(1, true);
   f.radios[0]->transmit(broadcast_frame(0));
@@ -224,7 +224,7 @@ TEST(ChannelSpatialIndex, CountersMatchBruteForce) {
   std::uint64_t expected[3] = {0, 0, 0};
   for (const bool use_index : {false, true}) {
     IndexedFixture f{positions, 100.0, use_index};
-    ASSERT_EQ(f.channel.spatial_index_enabled(), use_index);
+    ASSERT_EQ(f.channel.params().use_spatial_index, use_index);
     f.channel.set_node_down(2, true);
     f.channel.set_partition({0, 1, 0, 0, 0, 1, 0});
     for (std::size_t s = 0; s < positions.size(); ++s) {

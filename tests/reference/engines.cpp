@@ -14,23 +14,19 @@ class PerReceiverPhy final : public phy::PhyEngine {
   PerReceiverPhy(sim::Simulator& sim, phy::Channel& channel) : sim_{sim}, channel_{channel} {}
 
   void attach() override { nodes_.emplace_back(); }
-  void set_listener(std::size_t node, phy::RadioListener* listener) override {
-    nodes_[node].listener = listener;
-  }
+  void set_listener(std::size_t node, phy::RadioListener* l) override { nodes_[node].listener = l; }
   bool transmitting(std::size_t node) const override { return nodes_[node].transmitting; }
   bool medium_busy(std::size_t node) const override {
     return nodes_[node].transmitting || !nodes_[node].rx.empty();
   }
   sim::Duration idle_for(std::size_t node) const override {
-    if (medium_busy(node)) return sim::Duration::zero();
-    return sim_.now() - nodes_[node].idle_since;
+    return medium_busy(node) ? sim::Duration::zero() : sim_.now() - nodes_[node].idle_since;
   }
   const phy::RadioCounters& counters(std::size_t node) const override {
     return nodes_[node].counters;
   }
   std::uint64_t rx_elided() const override { return 0; }
   std::uint64_t rx_coalesced() const override { return 0; }
-
   void abort_receptions(std::size_t node) override {
     for (Rx& rx : nodes_[node].rx) rx.corrupt = true;
   }
@@ -80,7 +76,7 @@ class PerReceiverPhy final : public phy::PhyEngine {
   struct Node {
     phy::RadioListener* listener{nullptr};
     bool transmitting{false};
-    std::vector<Rx> rx;
+    std::vector<Rx> rx;       // receptions in progress
     sim::SimTime idle_since;  // valid while the medium is idle
     phy::RadioCounters counters;
   };
@@ -154,22 +150,21 @@ class PerSlotCountdown final : public mac::Countdown {
     difs_done_ = idle >= difs_;
     if (!difs_done_) {
       timer_.restart(difs_ - idle, sim::EventCategory::mac_difs);
-      return false;
+    } else if (slots_ > 0) {
+      timer_.restart(slot_, sim::EventCategory::mac_slot);
     }
-    if (slots_ == 0) return true;
-    timer_.restart(slot_, sim::EventCategory::mac_slot);
-    return false;
+    return difs_done_ && slots_ == 0;
   }
   void pause() override { timer_.cancel(); }
 
  private:
+  // One event for the DIFS wait, then one per slot.
   void fire() override {
     if (difs_done_) {
       --slots_;
       ++counters_.backoff_slots_credited;
-    } else {
-      difs_done_ = true;
     }
+    difs_done_ = true;
     if (slots_ == 0) {
       done_();
     } else {
