@@ -53,9 +53,9 @@ class PhyEngine {
   // --- Channel delivery path ---
   // One frame's first bit reaches `rx` (ascending node order); its last
   // bit arrives at `end`. Receivers that went down since the transmit
-  // must be skipped.
-  // `uncontended` is the channel's per-cell airtime verdict: no receiver
-  // has a reception in flight. Returns the receptions still tracked.
+  // must be skipped. `uncontended` is the channel's per-cell airtime
+  // verdict: no receiver has a reception in flight. Returns the
+  // receptions still tracked.
   virtual std::size_t deliver_group(const std::shared_ptr<const mac::Frame>& frame,
                                     sim::SimTime end,
                                     const std::vector<std::uint32_t>& rx,

@@ -32,9 +32,10 @@ stats::RunResult expect_equivalent(const harness::ScenarioConfig& config) {
   // accounting matches exactly: the fused credit consumes exactly the
   // slots the tick chain consumed — the strongest pin on the pause/resume
   // arithmetic — and its elided DIFS waits reconstruct the per-slot
-  // countdown's difs events.
+  // countdown's difs events. Their pool hit/miss split matches too.
   const auto difs_idx = sim::category_index(sim::EventCategory::mac_difs);
   EXPECT_EQ(a.totals.mac_backoff_slots_credited, b.totals.mac_backoff_slots_credited);
+  EXPECT_EQ(a.totals.pool_hits, b.totals.pool_hits);
   EXPECT_EQ(a.totals.ev_executed[difs_idx] + a.totals.mac_difs_elided,
             b.totals.ev_executed[difs_idx]);
 

@@ -44,11 +44,17 @@ stats::RunResult expect_equivalent(
   const stats::RunResult reference = harness::run_scenario(oracle(config));
   expect_identical_runs(batched, reference);
   if (oracle == &reference::with_reference_phy) {
-    // One countdown on both sides: its bookkeeping matches exactly too.
+    // One countdown on both sides: its bookkeeping and events match
+    // exactly too.
     EXPECT_EQ(batched.totals.mac_backoff_slots_credited,
               reference.totals.mac_backoff_slots_credited);
-    EXPECT_EQ(batched.totals.mac_events_elided(), reference.totals.mac_events_elided());
+    EXPECT_EQ(batched.totals.mac_difs_elided, reference.totals.mac_difs_elided);
     EXPECT_EQ(batched.totals.pool_hits, reference.totals.pool_hits);
+    for (const auto c : {sim::EventCategory::mac_slot, sim::EventCategory::mac_difs}) {
+      const std::size_t i = sim::category_index(c);
+      EXPECT_EQ(batched.totals.ev_scheduled[i], reference.totals.ev_scheduled[i]) << i;
+      EXPECT_EQ(batched.totals.ev_executed[i], reference.totals.ev_executed[i]) << i;
+    }
   }
   // The per-receiver engine never elides; the batched one must actually
   // be batching (every run here has multi-receiver delivery groups).

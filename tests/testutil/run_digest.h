@@ -29,9 +29,9 @@ namespace ag::testutil {
 // engine bookkeeping. A fused MAC countdown credits the backoff slots of a
 // countdown still running at the cutoff only when it would pause or fire,
 // while a per-slot countdown has credited them tick by tick. And a per-slot
-// countdown orders some same-microsecond events of different nodes
-// differently, which can move a packet-pool hit to a miss without changing
-// the number of packets allocated.
+// countdown turns a packet-pool hit into a miss on some runs (measured on
+// two adversary cells) while the number of packets allocated stays the
+// same.
 [[nodiscard]] inline bool engine_dependent(std::string_view key) {
   return key == "sim_events" || key == "ev_scheduled" || key == "ev_executed" ||
          key == "mac_difs_elided" || key == "phy_rx_elided" ||
