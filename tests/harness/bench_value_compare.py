@@ -5,8 +5,8 @@ same printed text.
 
 A point-level key may stay where it was, move into the point's `timing`
 object, or, as `sim_events`, be renamed to `timing.effective_events`.
-Wall-clock values (`wall_clock_s` and the per-second rates) must still be
-present but are not compared. Numbers are compared as the text the
+Wall-clock values (`wall_clock_s` and the per-second rates), at point
+level or inside `timing`, must still be present but are not compared. Numbers are compared as the text the
 writer printed, not as parsed floats.
 
 Usage: bench_value_compare.py OLD.json NEW.json   (exit 1 on any loss)
@@ -31,6 +31,8 @@ def compare(old, new, where, problems, counts):
         for key, value in old.items():
             if key not in new:
                 problems.append(f"{where}.{key}: missing")
+            elif key in WALL_CLOCK:
+                counts["exempt"] += 1
             else:
                 compare(value, new[key], f"{where}.{key}", problems, counts)
     elif isinstance(old, list):
@@ -68,10 +70,11 @@ def compare_point(old, new, where, problems, counts):
             continue
         first_miss = None
         for candidate in found:
-            sub_problems, sub_counts = [], {"compared": 0}
+            sub_problems, sub_counts = [], {"compared": 0, "exempt": 0}
             compare(value, candidate, f"{where}.{key}", sub_problems, sub_counts)
             if not sub_problems:
                 counts["compared"] += sub_counts["compared"]
+                counts["exempt"] += sub_counts["exempt"]
                 break
             first_miss = first_miss or sub_problems
         else:
