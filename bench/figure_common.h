@@ -225,7 +225,7 @@ inline void handle_help_flag(int argc, char** argv, const char* description,
       "                    workers (missing cells land in failed_shards)\n"
       "  --shard-dir=<d>   checkpoint directory (default shards_<name>/)\n"
       "  --help, -h        this text\n"
-      "\nEnvironment knobs (see README \"Environment knobs\"):\n"
+      "\nEnvironment knobs (see README \"Environment variables\"):\n"
       "  AG_SEEDS=<n>            seeds per point (overrides the default)\n"
       "  AG_SHARDS=<n>           concurrent shard workers for --shards\n"
       "  AG_SHARD_TIMEOUT=<s>    per-shard wall-clock kill timeout (600)\n"

@@ -320,9 +320,9 @@ TEST(ShardCli, ParsesDecimalShardFlags) {
 }
 
 TEST(ShardCliDeathTest, RejectsMalformedShardNumbers) {
-  // Each used to be read by bare strtoul: "--shard=abc" ran as shard 0,
-  // "--shards=-1" asked for 4294967295 workers, "--shard-attempt=-3"
-  // became attempt 4294967293 and "--shards=abc" fell back silently.
+  // Bare strtoul would run "--shard=abc" as shard 0, ask "--shards=-1"
+  // for 4294967295 workers, make "--shard-attempt=-3" attempt 4294967293
+  // and let "--shards=abc" fall back silently.
   for (const char* bad :
        {"--shard=abc", "--shard=-1", "--shard=", "--shard=+2", "--shard= 2", "--shard=2x",
         "--shard=4294967296", "--shard=99999999999999999999", "--shards=-1",
