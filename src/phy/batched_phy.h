@@ -23,6 +23,7 @@
 #ifndef AG_PHY_BATCHED_PHY_H
 #define AG_PHY_BATCHED_PHY_H
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <queue>
@@ -47,6 +48,7 @@ class BatchedPhy final : public PhyEngine {
   // Radio::set_listener lands here — the hot notification paths read the
   // flat table instead of chasing a Radio pointer per state change.
   void set_listener(std::size_t node, RadioListener* listener) override {
+    assert(node < listeners_.size() && "attach before set_listener");
     listeners_[node] = listener;
   }
 

@@ -29,7 +29,8 @@ class Radio {
   Radio& operator=(const Radio&) = delete;
 
   // The engine's per-node listener table is the only route from the
-  // engine to the MAC above.
+  // engine to the MAC above. Precondition: Channel::attach has run for
+  // this radio.
   void set_listener(RadioListener* listener) { engine_.set_listener(node_index_, listener); }
   [[nodiscard]] std::size_t node_index() const { return node_index_; }
 

@@ -14,7 +14,10 @@ class PerReceiverPhy final : public phy::PhyEngine {
   PerReceiverPhy(sim::Simulator& sim, phy::Channel& channel) : sim_{sim}, channel_{channel} {}
 
   void attach() override { nodes_.emplace_back(); }
-  void set_listener(std::size_t node, phy::RadioListener* l) override { nodes_[node].listener = l; }
+  void set_listener(std::size_t node, phy::RadioListener* l) override {
+    assert(node < nodes_.size() && "attach before set_listener");
+    nodes_[node].listener = l;
+  }
   bool transmitting(std::size_t node) const override { return nodes_[node].transmitting; }
   bool medium_busy(std::size_t node) const override {
     return nodes_[node].transmitting || !nodes_[node].rx.empty();
