@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "harness/network.h"
 #include "harness/protocol_registry.h"
 #include "harness/scenario.h"
 #include "mobility/static_mobility.h"
@@ -24,7 +23,6 @@
 #include "phy/radio.h"
 #include "reference/engines.h"
 #include "reference/equivalence.h"
-#include "sim/event_category.h"
 #include "sim/simulator.h"
 #include "stats/run_result.h"
 #include "testutil/run_digest.h"
@@ -32,48 +30,21 @@
 namespace ag::phy {
 namespace {
 
-using reference::expect_identical_runs;
+using reference::expect_equivalent;
+using reference::with_reference_phy;
 using testutil::golden_digests;
-
-// Runs `config` on the production engines and on `oracle(config)`, checks
-// the two agree, and returns the oracle run.
-stats::RunResult expect_equivalent(
-    const harness::ScenarioConfig& config,
-    harness::ScenarioConfig (*oracle)(harness::ScenarioConfig) = reference::with_reference_phy) {
-  const stats::RunResult batched = harness::run_scenario(config);
-  const stats::RunResult reference = harness::run_scenario(oracle(config));
-  expect_identical_runs(batched, reference);
-  if (oracle == &reference::with_reference_phy) {
-    // One countdown on both sides: its bookkeeping and events match
-    // exactly too.
-    EXPECT_EQ(batched.totals.mac_backoff_slots_credited,
-              reference.totals.mac_backoff_slots_credited);
-    EXPECT_EQ(batched.totals.mac_difs_elided, reference.totals.mac_difs_elided);
-    EXPECT_EQ(batched.totals.pool_hits, reference.totals.pool_hits);
-    for (const auto c : {sim::EventCategory::mac_slot, sim::EventCategory::mac_difs}) {
-      const std::size_t i = sim::category_index(c);
-      EXPECT_EQ(batched.totals.ev_scheduled[i], reference.totals.ev_scheduled[i]) << i;
-      EXPECT_EQ(batched.totals.ev_executed[i], reference.totals.ev_executed[i]) << i;
-    }
-  }
-  // The per-receiver engine never elides; the batched one must actually
-  // be batching (every run here has multi-receiver delivery groups).
-  EXPECT_EQ(reference.totals.phy_events_elided(), 0u);
-  EXPECT_GT(batched.totals.phy_events_elided(), 0u);
-  EXPECT_LE(batched.totals.sim_events, reference.totals.sim_events);
-  return reference;
-}
 
 // Both oracles at once: per-receiver phy under the per-slot MAC.
 harness::ScenarioConfig with_both_oracles(harness::ScenarioConfig c) {
-  return reference::with_per_slot_mac(reference::with_reference_phy(std::move(c)));
+  return reference::with_per_slot_mac(with_reference_phy(std::move(c)));
 }
 
 TEST(BatchedPhyEquivalence, WholeRunBitIdenticalToPerReceiverReference) {
-  const stats::RunResult reference = expect_equivalent(testutil::short_run());
+  const stats::RunResult reference =
+      expect_equivalent(testutil::short_run(), with_reference_phy).oracle;
   EXPECT_EQ(testutil::digest_of(reference).engine_independent,
             golden_digests("default").engine_independent);
-  expect_equivalent(testutil::short_run().with_seed(2));
+  expect_equivalent(testutil::short_run().with_seed(2), with_reference_phy);
 }
 
 TEST(BatchedPhyEquivalence, ChurnRunBitIdenticalToPerReceiverReference) {
@@ -84,11 +55,13 @@ TEST(BatchedPhyEquivalence, ChurnRunBitIdenticalToPerReceiverReference) {
   base.faults.spec.churn_per_min = 3.0;
   base.faults.spec.crash_fraction = 0.2;
   base.faults.spec.partition_duration_s = 8.0;
-  const stats::RunResult reference = expect_equivalent(base.with_seed(5));
+  const stats::RunResult reference =
+      expect_equivalent(base.with_seed(5), with_reference_phy).oracle;
   EXPECT_GT(reference.faults.crashes + reference.faults.leaves + reference.faults.partitions,
             0u);
 
-  const stats::RunResult background = expect_equivalent(testutil::churn_background());
+  const stats::RunResult background =
+      expect_equivalent(testutil::churn_background(), with_reference_phy).oracle;
   EXPECT_EQ(testutil::digest_of(background).engine_independent,
             golden_digests("churn").engine_independent);
 }
@@ -99,7 +72,8 @@ TEST(BatchedPhyEquivalence, EveryProtocolBitIdentical) {
   for (const harness::Protocol p :
        {harness::Protocol::maodv_gossip, harness::Protocol::odmrp_gossip,
         harness::Protocol::flooding}) {
-    const stats::RunResult reference = expect_equivalent(testutil::protocol_cell(p));
+    const stats::RunResult reference =
+        expect_equivalent(testutil::protocol_cell(p), with_reference_phy).oracle;
     const std::string name = "protocol/" + harness::ProtocolRegistry::instance().name_of(p);
     EXPECT_EQ(testutil::digest_of(reference).engine_independent,
               golden_digests(name).engine_independent)
@@ -112,10 +86,7 @@ TEST(BatchedPhyEquivalence, BitIdenticalUnderPerSlotMacReferenceToo) {
   // than the fused countdown, so run the phy A/B under it to pin the
   // facade queries at every slot edge.
   harness::ScenarioConfig c = testutil::protocol_cell(harness::Protocol::maodv_gossip);
-  c.with_seed(7);
-  const stats::RunResult batched = harness::run_scenario(reference::with_per_slot_mac(c));
-  const stats::RunResult reference = harness::run_scenario(with_both_oracles(c));
-  expect_identical_runs(batched, reference);
+  expect_equivalent(reference::with_per_slot_mac(c.with_seed(7)), with_reference_phy);
 }
 
 TEST(BatchedPhyEquivalence, ReferenceEnginesReproduceDtnCells) {
@@ -125,7 +96,7 @@ TEST(BatchedPhyEquivalence, ReferenceEnginesReproduceDtnCells) {
     for (const double duty : {1.0, 0.25}) {
       SCOPED_TRACE("budget=" + std::to_string(budget) + " duty=" + std::to_string(duty));
       const stats::RunResult reference =
-          expect_equivalent(testutil::dtn_cell(budget, duty), with_both_oracles);
+          expect_equivalent(testutil::dtn_cell(budget, duty), with_both_oracles).oracle;
       EXPECT_GT(reference.totals.sessions.users_served, 0u);
       if (budget == 64 && duty == 0.25) {
         EXPECT_EQ(testutil::digest_of(reference).engine_independent,
@@ -147,7 +118,7 @@ TEST(BatchedPhyEquivalence, ReferenceEnginesReproduceAdversaryCells) {
         SCOPED_TRACE(std::string{name} + " isolation=" + (isolation ? "on" : "off") +
                      " over " + harness::ProtocolRegistry::instance().name_of(p));
         const stats::RunResult reference = expect_equivalent(
-            testutil::adversary_cell(p, mode, isolation), with_both_oracles);
+            testutil::adversary_cell(p, mode, isolation), with_both_oracles).oracle;
         EXPECT_GT(reference.totals.adversary_nodes, 0u);
         if (p == harness::Protocol::flooding_gossip && isolation) {
           EXPECT_EQ(testutil::digest_of(reference).engine_independent,

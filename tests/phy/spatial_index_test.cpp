@@ -259,18 +259,16 @@ harness::ScenarioConfig short_scenario(bool use_index) {
   return c;
 }
 
-// The index only changes how receivers are found: on top of the shared
-// engine-equivalence check, even the event counts match.
-void expect_identical_runs(const stats::RunResult& a, const stats::RunResult& b) {
-  reference::expect_identical_runs(a, b);
-  EXPECT_EQ(a.totals.sim_events, b.totals.sim_events);
+// The index only changes how receivers are found, so the shared check
+// (both runs on the same engines) pins even the event counts exactly.
+harness::ScenarioConfig brute_force(harness::ScenarioConfig c) {
+  c.phy.use_spatial_index = false;
+  return c;
 }
 
 TEST(ChannelSpatialIndex, WholeRunBitIdenticalToBruteForce) {
   for (const std::uint64_t seed : {1ULL, 2ULL}) {
-    stats::RunResult on = harness::run_scenario(short_scenario(true).with_seed(seed));
-    stats::RunResult off = harness::run_scenario(short_scenario(false).with_seed(seed));
-    expect_identical_runs(on, off);
+    reference::expect_equivalent(short_scenario(true).with_seed(seed), brute_force);
   }
 }
 
@@ -280,14 +278,10 @@ TEST(ChannelSpatialIndex, ChurnRunBitIdenticalToBruteForce) {
   base.faults.spec.crash_fraction = 0.2;
   base.faults.spec.partition_duration_s = 8.0;
 
-  harness::ScenarioConfig brute = base;
-  brute.phy.use_spatial_index = false;
-
-  stats::RunResult on = harness::run_scenario(base.with_seed(5));
-  stats::RunResult off = harness::run_scenario(brute.with_seed(5));
+  const stats::NetworkTotals on =
+      reference::expect_equivalent(base.with_seed(5), brute_force).production.totals;
   // Faults exercise the suppression paths for real.
-  EXPECT_GT(on.totals.phy_suppressed_down + on.totals.phy_suppressed_partition, 0u);
-  expect_identical_runs(on, off);
+  EXPECT_GT(on.phy_suppressed_down + on.phy_suppressed_partition, 0u);
 }
 
 TEST(ChannelSpatialIndex, Fig2StyleJsonBitIdentical) {
