@@ -123,7 +123,7 @@ void BM_MemberCacheObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_MemberCacheObserve);
 
-// What one saturated-cell run did.
+// What saturated-cell runs did, summed.
 struct CellRun {
   std::uint64_t events{0};
   std::uint64_t delivered{0};
@@ -133,9 +133,11 @@ struct CellRun {
 };
 
 // Nodes at `positions`, all in mutual range, every interface queue
-// stuffed with `frames` broadcasts, run to completion.
-CellRun run_saturated_cell(std::vector<mobility::Vec2> positions, int frames,
-                           const phy::PhyParams& phy_params, const mac::MacParams& mac_params) {
+// stuffed with `frames` broadcasts, run to completion; adds what the run
+// did to `total`.
+void run_saturated_cell(std::vector<mobility::Vec2> positions, int frames,
+                        const phy::PhyParams& phy_params, const mac::MacParams& mac_params,
+                        CellRun& total) {
   sim::Simulator sim;
   mobility::StaticMobility mobility{std::move(positions)};
   phy::Channel channel{sim, mobility, phy_params};
@@ -143,7 +145,6 @@ CellRun run_saturated_cell(std::vector<mobility::Vec2> positions, int frames,
   std::vector<std::unique_ptr<mac::CsmaMac>> macs;
   for (std::size_t i = 0; i < mobility.node_count(); ++i) {
     radios.push_back(std::make_unique<phy::Radio>(channel, i));
-    channel.attach(radios.back().get());
     macs.push_back(std::make_unique<mac::CsmaMac>(
         sim, *radios.back(), channel, net::NodeId{static_cast<std::uint32_t>(i)},
         mac_params, sim.rng().stream("mac", i)));
@@ -157,14 +158,12 @@ CellRun run_saturated_cell(std::vector<mobility::Vec2> positions, int frames,
     }
   }
   sim.run_all();
-  CellRun run;
-  run.events = sim.executed_events();
-  run.mac_slot_events =
+  total.events += sim.executed_events();
+  total.mac_slot_events +=
       sim.event_mix().executed[sim::category_index(sim::EventCategory::mac_slot)];
-  run.rx_elided = channel.rx_elided();
-  run.rx_coalesced = channel.rx_coalesced();
-  for (auto& m : macs) run.delivered += m->counters().delivered_up;
-  return run;
+  total.rx_elided += channel.engine().rx_elided();
+  total.rx_coalesced += channel.engine().rx_coalesced();
+  for (auto& m : macs) total.delivered += m->counters().delivered_up;
 }
 
 // Saturated single-cell contention: every node in mutual range, every
@@ -180,24 +179,18 @@ void BM_SaturatedCellContention(benchmark::State& state) {
   if (state.range(0) == 0) params.countdown = &reference::per_slot_countdown;
   std::vector<mobility::Vec2> positions;
   for (std::size_t i = 0; i < 10; ++i) positions.push_back({static_cast<double>(i) * 5.0, 0.0});
-  std::uint64_t events = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t mac_slot_events = 0;
+  CellRun t;
   for (auto _ : state) {
-    const CellRun run =
-        run_saturated_cell(positions, 40, phy::PhyParams{100.0, 2e6, 192.0, 3e8}, params);
-    events += run.events;
-    delivered += run.delivered;
-    mac_slot_events += run.mac_slot_events;
+    run_saturated_cell(positions, 40, phy::PhyParams{100.0, 2e6, 192.0, 3e8}, params, t);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  if (delivered > 0) {
+  state.SetItemsProcessed(static_cast<std::int64_t>(t.events));
+  if (t.delivered > 0) {
     state.counters["events_per_delivered_frame"] =
-        static_cast<double>(events) / static_cast<double>(delivered);
+        static_cast<double>(t.events) / static_cast<double>(t.delivered);
   }
-  if (events > 0) {
+  if (t.events > 0) {
     state.counters["mac_slot_share"] =
-        static_cast<double>(mac_slot_events) / static_cast<double>(events);
+        static_cast<double>(t.mac_slot_events) / static_cast<double>(t.events);
   }
 }
 BENCHMARK(BM_SaturatedCellContention)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
@@ -218,28 +211,17 @@ void BM_DenseCellDeliveryStorm(benchmark::State& state) {
   for (std::size_t i = 0; i < 24; ++i) {
     positions.push_back({static_cast<double>(i % 6) * 8.0, static_cast<double>(i / 6) * 8.0});
   }
-  std::uint64_t events = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t rx_elided = 0;
-  std::uint64_t rx_coalesced = 0;
-  for (auto _ : state) {
-    const CellRun run = run_saturated_cell(positions, 30, params, mac::MacParams{});
-    events += run.events;
-    delivered += run.delivered;
-    rx_elided += run.rx_elided;
-    rx_coalesced += run.rx_coalesced;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  if (delivered > 0) {
+  CellRun t;
+  for (auto _ : state) run_saturated_cell(positions, 30, params, mac::MacParams{}, t);
+  state.SetItemsProcessed(static_cast<std::int64_t>(t.events));
+  if (t.delivered > 0) {
     state.counters["events_per_delivered_frame"] =
-        static_cast<double>(events) / static_cast<double>(delivered);
+        static_cast<double>(t.events) / static_cast<double>(t.delivered);
   }
-  if (events > 0) {
-    state.counters["phy_rx_elided_share"] =
-        static_cast<double>(rx_elided) / static_cast<double>(events + rx_elided + rx_coalesced);
-    state.counters["phy_rx_coalesced_share"] =
-        static_cast<double>(rx_coalesced) /
-        static_cast<double>(events + rx_elided + rx_coalesced);
+  if (t.events > 0) {
+    const auto represented = static_cast<double>(t.events + t.rx_elided + t.rx_coalesced);
+    state.counters["phy_rx_elided_share"] = static_cast<double>(t.rx_elided) / represented;
+    state.counters["phy_rx_coalesced_share"] = static_cast<double>(t.rx_coalesced) / represented;
   }
 }
 BENCHMARK(BM_DenseCellDeliveryStorm)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);

@@ -68,7 +68,6 @@ Network::Network(const ScenarioConfig& config)
     auto stack = std::make_unique<NodeStack>();
     const net::NodeId id{static_cast<std::uint32_t>(i)};
     stack->radio = std::make_unique<phy::Radio>(*channel_, i);
-    channel_->attach(stack->radio.get());
     stack->mac = std::make_unique<mac::CsmaMac>(sim_, *stack->radio, *channel_, id,
                                                 config_.mac, sim_.rng().stream("mac", i));
 
@@ -320,8 +319,8 @@ stats::RunResult Network::result() const {
   t.phy_deliveries = channel_->deliveries();
   t.phy_suppressed_down = channel_->suppressed_down();
   t.phy_suppressed_partition = channel_->suppressed_partition();
-  t.phy_rx_elided = channel_->rx_elided();
-  t.phy_rx_coalesced = channel_->rx_coalesced();
+  t.phy_rx_elided = channel_->engine().rx_elided();
+  t.phy_rx_coalesced = channel_->engine().rx_coalesced();
   t.sim_events = sim_.executed_events();
   const sim::Simulator::EventMix& mix = sim_.event_mix();
   for (std::size_t c = 0; c < sim::kEventCategoryCount; ++c) {

@@ -58,8 +58,6 @@ class MacSniffer {
 
 class CsmaMac final : public phy::RadioListener {
  public:
-  // Installs itself as `radio`'s listener, so `radio` must already be
-  // attached to `channel`.
   CsmaMac(sim::Simulator& sim, phy::Radio& radio, const phy::Channel& channel,
           net::NodeId self, MacParams params, sim::Rng rng);
 

@@ -41,7 +41,7 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  // Radios must be attached in node-index order.
+  // Called by Radio's constructor, in node-index order.
   void attach(Radio* radio);
 
   [[nodiscard]] const PhyParams& params() const { return params_; }
@@ -97,11 +97,6 @@ class Channel {
   [[nodiscard]] PhyEngine& engine() { return *engine_; }
   // The engine as BatchedPhy, or nullptr when a test installed another.
   [[nodiscard]] BatchedPhy* batched_engine();
-  // --- elision accounting (see stats::NetworkTotals::phy_events_elided) ---
-  // Receptions resolved analytically with no completion event scheduled.
-  [[nodiscard]] std::uint64_t rx_elided() const { return engine_->rx_elided(); }
-  // Live receivers beyond the first swept by one completion event.
-  [[nodiscard]] std::uint64_t rx_coalesced() const { return engine_->rx_coalesced(); }
 
  private:
   friend class BatchedPhy;

@@ -47,6 +47,8 @@ class PhyEngine {
   [[nodiscard]] virtual bool medium_busy(std::size_t node) const = 0;
   [[nodiscard]] virtual sim::Duration idle_for(std::size_t node) const = 0;
   virtual void transmit(std::size_t node, const mac::Frame& frame) = 0;
+  // Crash support (Channel::set_node_down): destroys every reception in
+  // progress. Not counted as a collision — nothing interfered.
   virtual void abort_receptions(std::size_t node) = 0;
   [[nodiscard]] virtual const RadioCounters& counters(std::size_t node) const = 0;
 

@@ -22,15 +22,17 @@ class Radio {
  public:
   using Counters = RadioCounters;
 
+  // Attaches itself to `channel`: construct radios in node-index order.
   Radio(Channel& channel, std::size_t node_index)
-      : engine_{channel.engine()}, node_index_{node_index} {}
+      : engine_{channel.engine()}, node_index_{node_index} {
+    channel.attach(this);
+  }
 
   Radio(const Radio&) = delete;
   Radio& operator=(const Radio&) = delete;
 
   // The engine's per-node listener table is the only route from the
-  // engine to the MAC above. Precondition: Channel::attach has run for
-  // this radio.
+  // engine to the MAC above.
   void set_listener(RadioListener* listener) { engine_.set_listener(node_index_, listener); }
   [[nodiscard]] std::size_t node_index() const { return node_index_; }
 
@@ -44,10 +46,6 @@ class Radio {
   // Starts transmitting; any reception in progress is destroyed (half
   // duplex). Precondition: not already transmitting.
   void transmit(const mac::Frame& frame) { engine_.transmit(node_index_, frame); }
-
-  // Crash support: destroys every reception in progress (the radio lost
-  // power mid-frame). Not counted as a collision — nothing interfered.
-  void abort_receptions() { engine_.abort_receptions(node_index_); }
 
   [[nodiscard]] const Counters& counters() const { return engine_.counters(node_index_); }
 

@@ -46,7 +46,6 @@ class MacFixture {
         channel_{sim_, mobility_, phy::PhyParams{range, 2e6, 192.0, 3e8}} {
     for (std::size_t i = 0; i < mobility_.node_count(); ++i) {
       radios_.push_back(std::make_unique<phy::Radio>(channel_, i));
-      channel_.attach(radios_.back().get());
       macs_.push_back(std::make_unique<CsmaMac>(
           sim_, *radios_.back(), channel_, net::NodeId{static_cast<std::uint32_t>(i)},
           params, sim_.rng().stream("mac", i)));

@@ -40,7 +40,6 @@ class OdmrpNetwork {
       auto n = std::make_unique<Node>();
       const net::NodeId id{static_cast<std::uint32_t>(i)};
       n->radio = std::make_unique<phy::Radio>(channel_, i);
-      channel_.attach(n->radio.get());
       n->mac = std::make_unique<mac::CsmaMac>(sim_, *n->radio, channel_, id,
                                               mac::MacParams{},
                                               sim_.rng().stream("mac", i));

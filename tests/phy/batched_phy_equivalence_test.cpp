@@ -215,7 +215,6 @@ TraceRun run_trace(bool batched) {
   std::vector<std::unique_ptr<TracingListener>> listeners;
   for (std::size_t i = 0; i < n; ++i) {
     radios.push_back(std::make_unique<Radio>(channel, i));
-    channel.attach(radios.back().get());
     listeners.push_back(std::make_unique<TracingListener>(sim));
     radios.back()->set_listener(listeners.back().get());
   }
@@ -250,8 +249,8 @@ TraceRun run_trace(bool batched) {
   }
   out.transmissions = channel.transmissions();
   out.deliveries = channel.deliveries();
-  out.rx_elided = channel.rx_elided();
-  out.rx_coalesced = channel.rx_coalesced();
+  out.rx_elided = channel.engine().rx_elided();
+  out.rx_coalesced = channel.engine().rx_coalesced();
   return out;
 }
 

@@ -47,7 +47,6 @@ class PhyFixture {
                            batched ? nullptr : &reference::per_receiver_phy}} {
     for (std::size_t i = 0; i < mobility_.node_count(); ++i) {
       radios_.push_back(std::make_unique<Radio>(channel_, i));
-      channel_.attach(radios_.back().get());
       listeners_.push_back(std::make_unique<RecordingListener>());
       radios_.back()->set_listener(listeners_.back().get());
     }
@@ -241,7 +240,7 @@ TEST(Radio, AbortMidFrameDropsDeliveryUnderBothEngines) {
     f.radios_[0]->transmit(test_frame(0));
     // First bit has arrived (prop ~1 us); kill the reception mid-frame.
     f.sim_.run_until(f.sim_.now() + sim::Duration::us(100));
-    f.radios_[1]->abort_receptions();
+    f.channel_.engine().abort_receptions(1);
     f.sim_.run_all();
     EXPECT_TRUE(f.listeners_[1]->frames.empty()) << "batched=" << batched;
     // Not a collision and not a half-duplex miss — nothing interfered.
@@ -297,7 +296,7 @@ TEST(Radio, EqualEndCollisionFiresSingleIdleTransitionUnderBothEngines) {
     EXPECT_EQ(f.radios_[0]->counters().frames_corrupted, 2u) << "batched=" << batched;
     EXPECT_EQ(f.listeners_[0]->busy_events, 1) << "batched=" << batched;
     EXPECT_EQ(f.listeners_[0]->idle_events, 1) << "batched=" << batched;
-    EXPECT_EQ(f.channel_.rx_elided(), 0u) << "batched=" << batched;
+    EXPECT_EQ(f.channel_.engine().rx_elided(), 0u) << "batched=" << batched;
   }
 }
 

@@ -173,7 +173,6 @@ struct IndexedFixture {
                 PhyParams{range, 2e6, 192.0, 3e8, use_index}} {
     for (std::size_t i = 0; i < mobility.node_count(); ++i) {
       radios.push_back(std::make_unique<Radio>(channel, i));
-      channel.attach(radios.back().get());
       listeners.push_back(std::make_unique<CountingListener>());
       radios.back()->set_listener(listeners.back().get());
     }

@@ -55,7 +55,6 @@ class StaticNetwork {
       auto node = std::make_unique<Node>();
       const net::NodeId id{static_cast<std::uint32_t>(i)};
       node->radio = std::make_unique<phy::Radio>(channel_, i);
-      channel_.attach(node->radio.get());
       node->mac = std::make_unique<mac::CsmaMac>(sim_, *node->radio, channel_, id,
                                                  mac::MacParams{},
                                                  sim_.rng().stream("mac", i));
