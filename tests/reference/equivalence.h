@@ -48,6 +48,12 @@ inline Runs expect_equivalent(const harness::ScenarioConfig& config,
   Runs runs{harness::run_scenario(config), harness::run_scenario(oracle_config)};
   const bool same_phy = config.phy.engine == oracle_config.phy.engine;
   const bool same_countdown = config.mac.countdown == oracle_config.mac.countdown;
+  // A countdown's timers fire in FIFO order with the events scheduled for
+  // the same microsecond, so a different countdown may reorder two frames
+  // that start together. Their arrival order at a shared receiver decides
+  // which doomed reception the batched phy elides, with no other effect:
+  // the phy bookkeeping is exact only when both engines are shared.
+  const bool same_engines = same_phy && same_countdown;
 
   std::vector<std::pair<std::string, std::uint64_t>> a, b;
   for (auto [run, out] : {std::pair{&runs.production, &a}, std::pair{&runs.oracle, &b}}) {
@@ -65,28 +71,20 @@ inline Runs expect_equivalent(const harness::ScenarioConfig& config,
   const stats::NetworkTotals& p = runs.production.totals;
   const stats::NetworkTotals& o = runs.oracle.totals;
   EXPECT_EQ(p.pool_hits + p.pool_misses, o.pool_hits + o.pool_misses) << "allocations";
-  // A countdown's timers fire in FIFO order with the events scheduled for
-  // the same microsecond, so a different countdown may reorder two frames
-  // that start together. Their arrival order at a shared receiver decides
-  // which doomed reception the batched phy elides, with no other effect:
-  // the phy bookkeeping is exact only when both engines are shared.
-  const bool same_engines = same_phy && same_countdown;
   for (std::size_t c = 0; c < sim::kEventCategoryCount; ++c) {
     const auto cat = static_cast<sim::EventCategory>(c);
     const char* name = sim::event_category_name(c);
-    const bool phy = cat == sim::EventCategory::phy_delivery;
-    const bool mac = cat == sim::EventCategory::mac_slot || cat == sim::EventCategory::mac_difs;
-    if (mac && !same_countdown) {
+    if ((cat == sim::EventCategory::mac_slot || cat == sim::EventCategory::mac_difs) &&
+        !same_countdown) {
       // A countdown still running at the cutoff has had its elapsed DIFS
       // and slot events executed by a per-slot oracle; a fused countdown
       // represents them only once it pauses or fires.
       EXPECT_LE(represented(p, cat), represented(o, cat)) << name;
-    } else if (phy && !same_engines) {
+    } else if (cat == sim::EventCategory::phy_delivery && !same_engines) {
       // Reconstruction identity: elided credits settle as their would-be
       // finish times pass, so it holds across the run cutoff too.
       EXPECT_EQ(represented(p, cat), represented(o, cat)) << name;
       if (!same_phy) {
-        EXPECT_LT(p.ev_executed[c], o.ev_executed[c]) << name;
         EXPECT_LE(p.ev_scheduled[c], o.ev_scheduled[c]) << name;
       }
     } else {
@@ -100,11 +98,7 @@ inline Runs expect_equivalent(const harness::ScenarioConfig& config,
     // engine must actually be batching.
     EXPECT_EQ(o.phy_events_elided(), 0u);
     EXPECT_GT(p.phy_events_elided(), 0u);
-  } else if (same_countdown) {
-    EXPECT_EQ(p.phy_rx_elided, o.phy_rx_elided);
-    EXPECT_EQ(p.phy_rx_coalesced, o.phy_rx_coalesced);
   }
-  const auto slot = sim::category_index(sim::EventCategory::mac_slot);
   if (same_countdown) {
     EXPECT_EQ(p.mac_backoff_slots_credited, o.mac_backoff_slots_credited);
     EXPECT_EQ(p.mac_difs_elided, o.mac_difs_elided);
@@ -112,14 +106,16 @@ inline Runs expect_equivalent(const harness::ScenarioConfig& config,
   } else {
     // The per-slot oracle executes one mac_slot event per consumed slot
     // and one mac_difs event per DIFS wait.
+    const auto slot = sim::category_index(sim::EventCategory::mac_slot);
     EXPECT_EQ(o.mac_events_elided(), 0u);
     EXPECT_EQ(o.ev_executed[slot], o.mac_backoff_slots_credited);
-    EXPECT_LE(p.mac_backoff_slots_credited, o.mac_backoff_slots_credited);
     if (o.ev_executed[slot] > 0) {
       EXPECT_LT(p.ev_executed[slot], o.ev_executed[slot]);
     }
   }
   if (same_engines) {
+    EXPECT_EQ(p.phy_rx_elided, o.phy_rx_elided);
+    EXPECT_EQ(p.phy_rx_coalesced, o.phy_rx_coalesced);
     EXPECT_EQ(p.sim_events, o.sim_events);
   } else {
     EXPECT_LE(p.sim_events, o.sim_events);
