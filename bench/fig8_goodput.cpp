@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   bench::handle_help_flag(
       argc, argv,
       "Paper figure 8 (section 5.5): gossip goodput — % non-duplicate messages\namong gossip-reply traffic.",
-      "  range_m = {45..85}");
+      "  range_m = {45..85}", /*extra_flags=*/nullptr, /*sharded=*/false);
   const std::uint32_t seeds = harness::seeds_from_env(3);
   // Goodput is a gossip metric; default to the paper's gossip-over-MAODV,
   // but any registered substrate can be measured via --protocols=.

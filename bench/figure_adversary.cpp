@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
       "adversary mode, with and without trust-based isolation.",
       "  adversary_fraction x mode {blackhole, selective_forward,\n"
       "  gossip_poison} x isolation {off, on}",
-      "  --smoke           2 modes x 3 fractions, 120 s runs (CI)\n");
+      "  --smoke           2 modes x 3 fractions, 120 s runs (CI)\n",
+      /*sharded=*/false);
   harness::install_interrupt_handlers();
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
   // Two seeds even in smoke: the recovery margins this figure exists to

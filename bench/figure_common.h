@@ -4,13 +4,13 @@
 // ExperimentBuilder (seeds run in parallel; results land as a table, a
 // CSV, and a machine-readable BENCH_<fig>.json).
 //
-// Every ExperimentBuilder-based bench also speaks the sharded-driver CLI
-// (see harness/shard_driver.h): `--shards[=N]` supervises one worker
-// subprocess per (protocol, x, seed) cell with checkpoints, timeouts and
-// retries; `--resume` reuses checkpoints from a crashed/killed run;
-// `--shard=<i>` is the internal worker mode the supervisor re-invokes the
-// binary with. A fully-completed sharded run merges byte-identically to
-// the serial one.
+// The benches that finish through finish_figure (fig2-fig7, figure_churn)
+// also speak the sharded-driver CLI (see harness/shard_driver.h):
+// `--shards[=N]` supervises one worker subprocess per (protocol, x, seed)
+// cell with checkpoints, timeouts and retries; `--resume` reuses
+// checkpoints from a crashed/killed run; `--shard=<i>` is the internal
+// worker mode the supervisor re-invokes the binary with. A fully-completed
+// sharded run merges byte-identically to the serial one.
 #ifndef AG_BENCH_FIGURE_COMMON_H
 #define AG_BENCH_FIGURE_COMMON_H
 
@@ -202,43 +202,94 @@ inline bool write_cells_json(const std::string& path, const std::string& keys,
   return file.commit();
 }
 
-// Shared --help/-h implementation for every figure bench: one place lists
-// the common flags and environment knobs, each binary passes its one-line
-// description, its swept axes, and any bench-specific flags. Prints and
-// exits 0 when the flag is present; returns otherwise.
+// Shared --help/-h implementation for every bench: one place lists the
+// common flags and environment knobs, each binary passes its one-line
+// description, its swept axes, and any bench-specific flags. `sharded`
+// adds the shard flags and knobs; only benches that reach finish_figure,
+// which parses them, pass true. Prints and exits 0 when the flag is
+// present; returns otherwise.
 inline void handle_help_flag(int argc, char** argv, const char* description,
-                             const char* axes, const char* extra_flags = nullptr) {
+                             const char* axes, const char* extra_flags = nullptr,
+                             bool sharded = true) {
   if (!has_flag(argc, argv, "--help") && !has_flag(argc, argv, "-h")) return;
   std::printf("usage: %s [flags]\n\n%s\n\nSwept axes:\n%s\n\nFlags:\n", argv[0],
               description, axes);
   if (extra_flags != nullptr) std::printf("%s", extra_flags);
   std::printf(
       "  --protocols=a,b   protocol series to run (registry names; see error\n"
-      "                    message of an unknown name for the full list)\n"
-      "  --shards[=N]      sharded run: one worker subprocess per\n"
-      "                    (protocol, x, seed) cell, N concurrent (default\n"
-      "                    AG_SHARDS, else hardware threads), with per-shard\n"
-      "                    checkpoints, timeouts, and retry with backoff\n"
-      "  --resume          sharded run reusing checkpoints left by an\n"
-      "                    earlier crashed/killed invocation\n"
-      "  --merge           merge existing checkpoints only; never launches\n"
-      "                    workers (missing cells land in failed_shards)\n"
-      "  --shard-dir=<d>   checkpoint directory (default shards_<name>/)\n"
+      "                    message of an unknown name for the full list)\n");
+  if (sharded) {
+    std::printf(
+        "  --shards[=N]      sharded run: one worker subprocess per\n"
+        "                    (protocol, x, seed) cell, N concurrent (default\n"
+        "                    AG_SHARDS, else hardware threads), with per-shard\n"
+        "                    checkpoints, timeouts, and retry with backoff\n"
+        "  --resume          sharded run reusing checkpoints left by an\n"
+        "                    earlier crashed/killed invocation\n"
+        "  --merge           merge existing checkpoints only; never launches\n"
+        "                    workers (missing cells land in failed_shards)\n"
+        "  --shard-dir=<d>   checkpoint directory (default shards_<name>/)\n");
+  }
+  std::printf(
       "  --help, -h        this text\n"
       "\nEnvironment knobs (see README \"Environment variables\"):\n"
-      "  AG_SEEDS=<n>            seeds per point (overrides the default)\n"
-      "  AG_SHARDS=<n>           concurrent shard workers for --shards\n"
-      "  AG_SHARD_TIMEOUT=<s>    per-shard wall-clock kill timeout (600)\n"
-      "  AG_SHARD_RETRIES=<n>    attempts per shard before failing it (3)\n"
-      "  AG_SHARD_BACKOFF_MS=<n> retry backoff base, doubled per retry (250)\n"
-      "  AG_SHARD_FAULT=m@i[xT]  inject crash|hang|corrupt at shard i on\n"
-      "                          attempts 1..T (self-test hook)\n");
+      "  AG_SEEDS=<n>            seeds per point (overrides the default)\n");
+  if (sharded) {
+    std::printf(
+        "  AG_SHARDS=<n>           concurrent shard workers for --shards\n"
+        "  AG_SHARD_TIMEOUT=<s>    per-shard wall-clock kill timeout (600)\n"
+        "  AG_SHARD_RETRIES=<n>    attempts per shard before failing it (3)\n"
+        "  AG_SHARD_BACKOFF_MS=<n> retry backoff base, doubled per retry (250)\n"
+        "  AG_SHARD_FAULT=m@i[xT]  inject crash|hang|corrupt at shard i on\n"
+        "                          attempts 1..T (self-test hook)\n");
+  }
   std::exit(0);
 }
 
-// Shard-control flags shared by every ExperimentBuilder bench. Everything
-// not recognized here is forwarded verbatim to worker subprocesses so
-// they rebuild the identical sweep (--smoke, --protocols=..., ...).
+// The node counts of a `--nodes=250,500` flag anywhere in argv, or
+// `fallback` when absent. Each comma-separated count is a decimal integer
+// by the checkpoint rule (harness::parse_decimal_u64) within [2, 1000000];
+// an empty list or any other token (an empty element, a sign, whitespace,
+// overflow) names itself on stderr and exits 2, so a bench never silently
+// runs a different sweep than the one typed.
+inline std::vector<std::size_t> nodes_from_cli(int argc, char** argv,
+                                               std::vector<std::size_t> fallback) {
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (std::strncmp(arg, "--nodes=", 8) != 0) continue;
+    const std::string list = arg + 8;
+    if (list.empty()) {
+      std::fprintf(stderr,
+                   "%s: --nodes= is empty — expected --nodes=N[,N...] with "
+                   "each N an integer in [2, 1000000]\n",
+                   argv[0]);
+      std::exit(2);
+    }
+    std::vector<std::size_t> out;
+    std::size_t start = 0;
+    while (true) {
+      const std::size_t comma = list.find(',', start);
+      const std::string token = list.substr(start, comma - start);
+      std::uint64_t v = 0;
+      if (!harness::parse_decimal_u64(token, v) || v < 2 || v > 1'000'000) {
+        std::fprintf(stderr,
+                     "%s: bad --nodes= count \"%s\" in \"%s\" — expected "
+                     "--nodes=N[,N...] with each N an integer in [2, 1000000]\n",
+                     argv[0], token.c_str(), arg);
+        std::exit(2);
+      }
+      out.push_back(static_cast<std::size_t>(v));
+      if (comma == std::string::npos) return out;
+      start = comma + 1;
+    }
+  }
+  return fallback;
+}
+
+// Shard-control flags shared by the benches that reach finish_figure.
+// Everything not recognized here is forwarded verbatim to worker
+// subprocesses so they rebuild the identical sweep (--smoke,
+// --protocols=..., ...).
 struct ShardCli {
   bool worker{false};           // --shard=<i>: run one cell, write checkpoint
   std::size_t shard_index{0};
@@ -297,7 +348,7 @@ inline ShardCli parse_shard_cli(int argc, char** argv) {
   return cli;
 }
 
-// Shared tail for every ExperimentBuilder bench: dispatches on the shard
+// Shared tail for the sharded benches: dispatches on the shard
 // CLI (worker cell / sharded supervisor / plain in-process run), prints
 // the table, and writes the CSV + BENCH JSON atomically. Returns the
 // process exit code; on SIGINT/SIGTERM no merged outputs are written and

@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
       "over custody budget x duty cycle x churn (all registered protocols).",
       "  custody_max_msgs = {0,16,64,256} x session duty x churn_per_min",
       "  --smoke           2x1x2 grid, short duration (CI)\n"
-      "  --mega            10k nodes / 2M logical users, one cell\n");
+      "  --mega            10k nodes / 2M logical users, one cell\n",
+      /*sharded=*/false);
   harness::install_interrupt_handlers();
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
   const bool mega = bench::has_flag(argc, argv, "--mega");

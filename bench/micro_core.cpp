@@ -181,7 +181,7 @@ void BM_SaturatedCellContention(benchmark::State& state) {
   for (std::size_t i = 0; i < 10; ++i) positions.push_back({static_cast<double>(i) * 5.0, 0.0});
   CellRun t;
   for (auto _ : state) {
-    run_saturated_cell(positions, 40, phy::PhyParams{100.0, 2e6, 192.0, 3e8}, params, t);
+    run_saturated_cell(positions, 40, phy::PhyParams{100.0}, params, t);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(t.events));
   if (t.delivered > 0) {
@@ -205,7 +205,7 @@ BENCHMARK(BM_SaturatedCellContention)->Arg(1)->Arg(0)->Unit(benchmark::kMillisec
 // (production), Arg(0) = the per-receiver oracle engine from
 // tests/reference/.
 void BM_DenseCellDeliveryStorm(benchmark::State& state) {
-  phy::PhyParams params{100.0, 2e6, 192.0, 3e8};
+  phy::PhyParams params{100.0};
   if (state.range(0) == 0) params.engine = &reference::per_receiver_phy;
   std::vector<mobility::Vec2> positions;
   for (std::size_t i = 0; i < 24; ++i) {

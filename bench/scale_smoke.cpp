@@ -22,12 +22,9 @@
 // workload window scales with it (25-75 % of the run), so every point
 // states exactly what it measured.
 //
-// Usage: scale_smoke [--protocols=name,name] [--nodes=n,n,...]
-#include <cerrno>
+// Usage: scale_smoke [--protocols=name,name] [--nodes=n,n,...] [--help]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,61 +32,6 @@
 #include "figure_common.h"
 
 namespace {
-
-// Parses a `--nodes=250,500` flag anywhere in argv; returns `fallback`
-// when absent. Bad values fail fast with exit(2) like --protocols=,
-// naming the offending token and the expected form (same philosophy as
-// sim::env_positive_u32: never silently run a different sweep than the
-// one the user typed). Rejected outright: empty list, empty element
-// ("250,,500"), trailing comma, zero/negative counts, non-numeric
-// garbage, signs/whitespace inside a token, and overflow past the cap.
-std::vector<std::size_t> nodes_from_cli(int argc, char** argv,
-                                        std::vector<std::size_t> fallback) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--nodes=", 8) != 0) continue;
-    const char* list = arg + 8;
-    const auto fail = [&](const char* token) {
-      const char* comma = std::strchr(token, ',');
-      const int len = static_cast<int>(comma != nullptr
-                                           ? comma - token
-                                           : static_cast<std::ptrdiff_t>(
-                                                 std::strlen(token)));
-      std::fprintf(stderr,
-                   "%s: bad --nodes= count \"%.*s\" in \"--nodes=%s\" — "
-                   "expected --nodes=N[,N...] with each N an integer in "
-                   "[2, 1000000]\n",
-                   argv[0], len, token, list);
-      std::exit(2);
-    };
-    if (*list == '\0') {
-      std::fprintf(stderr,
-                   "%s: --nodes= is empty — expected --nodes=N[,N...] with "
-                   "each N an integer in [2, 1000000]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-    std::vector<std::size_t> out;
-    const char* p = list;
-    while (true) {
-      // strtol accepts leading whitespace and signs; the sweep grammar
-      // does not — a token must start with a digit.
-      if (*p < '0' || *p > '9') fail(p);
-      char* end = nullptr;
-      errno = 0;
-      const long v = std::strtol(p, &end, 10);
-      if (errno != 0 || end == p || v < 2 || v > 1'000'000 ||
-          (*end != '\0' && *end != ',')) {
-        fail(p);
-      }
-      out.push_back(static_cast<std::size_t>(v));
-      if (*end == '\0') break;
-      p = end + 1;  // past the comma; "250," leaves p on '\0' -> fail above
-    }
-    return out;
-  }
-  return fallback;
-}
 
 // Node-seconds ceiling: the full-length duration times the largest node
 // count that still runs it (see the header comment).
@@ -104,12 +46,19 @@ constexpr ag::stats::Groups kGroups = ag::stats::groups_of(
 
 int main(int argc, char** argv) {
   using namespace ag;
+  bench::handle_help_flag(
+      argc, argv,
+      "Scaling smoke: delivery, wall time and simulator-event throughput per\n"
+      "node count, at constant mean degree over short runs.",
+      "  node_count = {40, 120, 250, 500, 1000, 2000}",
+      "  --nodes=N[,N...]  node counts to run instead, each in [2, 1000000]\n",
+      /*sharded=*/false);
   harness::install_interrupt_handlers();
   const std::uint32_t seeds = harness::seeds_from_env(1);
   const std::vector<harness::Protocol> protocols =
       bench::protocols_from_cli(argc, argv, bench::headline_protocols());
   const std::vector<std::size_t> node_counts =
-      nodes_from_cli(argc, argv, {40, 120, 250, 500, 1000, 2000});
+      bench::nodes_from_cli(argc, argv, {40, 120, 250, 500, 1000, 2000});
 
   harness::ScenarioConfig base = bench::paper_base();
 

@@ -62,13 +62,10 @@ int main(int argc, char** argv) {
     auto v = std::make_unique<Vehicle>();
     const net::NodeId id{static_cast<std::uint32_t>(i)};
     v->radio = std::make_unique<phy::Radio>(channel, i);
-    channel.attach(v->radio.get());
     v->mac = std::make_unique<mac::CsmaMac>(sim, *v->radio, channel, id,
                                             mac::MacParams{}, sim.rng().stream("mac", i));
-    v->router = std::make_unique<maodv::MaodvRouter>(sim, *v->mac, id,
-                                                     aodv::AodvParams{},
-                                                     maodv::MaodvParams{},
-                                                     sim.rng().stream("aodv", i));
+    v->router =
+        std::make_unique<maodv::MaodvRouter>(sim, *v->mac, id, sim.rng().stream("aodv", i));
     v->agent = std::make_unique<gossip::GossipAgent>(sim, *v->router, gossip_params,
                                                      sim.rng().stream("gossip", i));
     v->router->set_observer(v->agent.get());

@@ -61,12 +61,10 @@ int main(int argc, char** argv) {
     auto n = std::make_unique<Node>();
     const net::NodeId id{static_cast<std::uint32_t>(i)};
     n->radio = std::make_unique<phy::Radio>(channel, i);
-    channel.attach(n->radio.get());
     n->mac = std::make_unique<mac::CsmaMac>(sim, *n->radio, channel, id,
                                             mac::MacParams{}, sim.rng().stream("mac", i));
-    n->router = std::make_unique<maodv::MaodvRouter>(
-        sim, *n->mac, id, aodv::AodvParams{}, maodv::MaodvParams{},
-        sim.rng().stream("aodv", i));
+    n->router =
+        std::make_unique<maodv::MaodvRouter>(sim, *n->mac, id, sim.rng().stream("aodv", i));
     n->agent = std::make_unique<gossip::GossipAgent>(sim, *n->router,
                                                      gossip::GossipParams{},
                                                      sim.rng().stream("gossip", i));

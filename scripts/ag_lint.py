@@ -34,13 +34,6 @@ Suppression (reason is mandatory):
   // ag-lint: allow(<rule>, <reason>)        this line or the next line
   // ag-lint: allow-file(<rule>, <reason>)   whole file
 
-Engine: a comment/string-aware regex scanner by default. When python
-libclang bindings are importable AND --engine=clang is requested, token
-streams from libclang replace the hand-rolled comment stripper for
-slightly better fidelity; the regex engine is the canonical CI gate
-(runners do not install libclang), so both engines must flag the same
-fixtures (asserted by --self-test).
-
 Usage:
   ag_lint.py [--root DIR] [files...]   lint src/ + bench/ (or just files)
   ag_lint.py --self-test               run the fixture suite under
@@ -341,54 +334,6 @@ def lint_file(path: str, rel: str, raw_lines: list[str]) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
-# optional libclang refinement
-# --------------------------------------------------------------------------
-
-
-def lint_file_clang(path: str, rel: str, raw_lines: list[str]):
-    """Token-level variant using libclang when available: identical rules,
-    but comment/string classification comes from the real lexer. Returns
-    None when libclang is unusable so the caller falls back to regex."""
-    try:
-        from clang import cindex  # type: ignore
-    except Exception:
-        return None
-    try:
-        index = cindex.Index.create()
-        tu = index.parse(path, args=["-std=c++20"])
-    except Exception:
-        return None
-    # Rebuild per-line code text from non-comment, non-literal tokens and
-    # reuse the regex rules on it — the value of libclang here is exact
-    # comment/string stripping, not a second rule implementation.
-    code_lines = [""] * len(raw_lines)
-    for tok in tu.cursor.get_tokens():
-        if tok.kind == cindex.TokenKind.COMMENT:
-            continue
-        if tok.kind == cindex.TokenKind.LITERAL and (
-            tok.spelling.startswith('"') or tok.spelling.startswith("'")
-        ):
-            continue
-        line = tok.location.line
-        col = tok.location.column
-        if 1 <= line <= len(code_lines):
-            text = code_lines[line - 1]
-            if len(text) < col - 1:
-                text += " " * (col - 1 - len(text))
-            code_lines[line - 1] = text + tok.spelling
-    shadow = list(code_lines)
-
-    # Temporarily substitute the tokenized text through the shared rules.
-    global strip_comments_and_strings
-    saved = strip_comments_and_strings
-    strip_comments_and_strings = lambda _lines: shadow  # noqa: E731
-    try:
-        return lint_file(path, rel, raw_lines)
-    finally:
-        strip_comments_and_strings = saved
-
-
-# --------------------------------------------------------------------------
 # driver
 # --------------------------------------------------------------------------
 
@@ -406,7 +351,7 @@ def collect_files(root: str) -> list[str]:
     return sorted(files)
 
 
-def lint_paths(root: str, paths: list[str], engine: str) -> list[Finding]:
+def lint_paths(root: str, paths: list[str]) -> list[Finding]:
     findings: list[Finding] = []
     for path in paths:
         rel = os.path.relpath(path, root)
@@ -416,17 +361,7 @@ def lint_paths(root: str, paths: list[str], engine: str) -> list[Finding]:
         except OSError as e:
             print(f"ag-lint: cannot read {path}: {e}", file=sys.stderr)
             sys.exit(2)
-        result = None
-        if engine == "clang":
-            result = lint_file_clang(path, rel, raw_lines)
-            if result is None:
-                print(
-                    "ag-lint: libclang unavailable, falling back to regex engine",
-                    file=sys.stderr,
-                )
-        if result is None:
-            result = lint_file(path, rel, raw_lines)
-        findings.extend(result)
+        findings.extend(lint_file(path, rel, raw_lines))
     return findings
 
 
@@ -448,7 +383,7 @@ FIXTURE_EXPECTATIONS = {
 }
 
 
-def self_test(root: str, engine: str) -> int:
+def self_test(root: str) -> int:
     fixtures = os.path.join(root, "tests", "lint", "fixtures")
     failures = 0
     for rel, expected in sorted(FIXTURE_EXPECTATIONS.items()):
@@ -459,11 +394,7 @@ def self_test(root: str, engine: str) -> int:
             continue
         with open(path, encoding="utf-8") as f:
             raw_lines = f.read().splitlines()
-        result = None
-        if engine == "clang":
-            result = lint_file_clang(path, rel, raw_lines)
-        if result is None:
-            result = lint_file(path, rel, raw_lines)
+        result = lint_file(path, rel, raw_lines)
         fired = {f.rule for f in result}
         if fired != expected:
             print(
@@ -477,7 +408,7 @@ def self_test(root: str, engine: str) -> int:
             print(f"self-test ok: {rel} -> {sorted(fired) or 'clean'}")
     # The live tree must be clean too — the self-test doubles as the gate
     # that the in-tree annotations actually suppress.
-    live = lint_paths(root, collect_files(root), engine)
+    live = lint_paths(root, collect_files(root))
     if live:
         print(f"SELF-TEST FAIL: live tree has {len(live)} finding(s):")
         for f in live:
@@ -500,22 +431,15 @@ def main() -> int:
         default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         help="repository root (default: parent of scripts/)",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("regex", "clang"),
-        default="regex",
-        help="regex (canonical CI gate) or clang (libclang token stream, "
-        "falls back to regex when bindings are missing)",
-    )
     parser.add_argument("--self-test", action="store_true", help="run the fixture suite")
     args = parser.parse_args()
 
     root = os.path.abspath(args.root)
     if args.self_test:
-        return self_test(root, args.engine)
+        return self_test(root)
 
     paths = [os.path.abspath(p) for p in args.files] or collect_files(root)
-    findings = lint_paths(root, paths, args.engine)
+    findings = lint_paths(root, paths)
     for f in sorted(findings, key=lambda f: (f.path, f.line)):
         print(f.render(root))
     if findings:

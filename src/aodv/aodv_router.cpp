@@ -13,11 +13,10 @@ std::uint64_t rreq_key(net::NodeId origin, std::uint32_t rreq_id) {
 }  // namespace
 
 AodvRouter::AodvRouter(sim::Simulator& sim, mac::CsmaMac& mac, net::NodeId self,
-                       AodvParams params, sim::Rng rng)
+                       sim::Rng rng)
     : sim_{sim},
       mac_{mac},
       self_{self},
-      params_{params},
       rng_{rng},
       hello_timer_{sim, [this] { send_hello(); }, sim::EventCategory::router},
       sweep_timer_{sim, [this] { sweep_neighbors(); }, sim::EventCategory::router} {
@@ -25,10 +24,17 @@ AodvRouter::AodvRouter(sim::Simulator& sim, mac::CsmaMac& mac, net::NodeId self,
 }
 
 void AodvRouter::start() {
-  if (params_.hello_enabled) {
-    // Jitter desynchronizes beacons across nodes.
-    hello_timer_.start(params_.hello_interval, &rng_, params_.hello_interval / 4);
-    sweep_timer_.start(params_.hello_interval, &rng_, params_.hello_interval / 8);
+  // Jitter desynchronizes beacons across nodes.
+  hello_timer_.start(kHelloInterval, &rng_, kHelloInterval / 4);
+  sweep_timer_.start(kHelloInterval, &rng_, kHelloInterval / 8);
+}
+
+void AodvRouter::set_observer(gossip::RouterObserver* observer) {
+  observer_ = observer;
+  if (observer_ != nullptr) {
+    set_local_deliver([this](const net::Packet& pkt, net::NodeId from) {
+      observer_->on_gossip_packet(pkt, from);
+    });
   }
 }
 
@@ -50,18 +56,27 @@ void AodvRouter::send_unicast(net::Packet pkt) {
   }
   const sim::SimTime now = sim_.now();
   if (RouteEntry* route = routes_.find_valid(pkt.dst, now)) {
-    routes_.refresh(pkt.dst, now + params_.active_route_timeout);
+    routes_.refresh(pkt.dst, now + kActiveRouteTimeout);
     mac_.send(route->next_hop, std::move(pkt));
     return;
   }
   const net::NodeId dst = pkt.dst;
   auto& pending = discoveries_[dst];
-  if (pending.buffered.size() >= params_.max_buffered_per_dest) {
+  if (pending.buffered.size() >= kMaxBufferedPerDest) {
     ++counters_.no_route_drops;
   } else {
     pending.buffered.push_back(std::move(pkt));
   }
   discover(dst);
+}
+
+void AodvRouter::unicast(net::NodeId dest, net::Payload payload) {
+  net::Packet pkt;
+  pkt.src = self_;
+  pkt.dst = dest;
+  pkt.ttl = kNetTtl;
+  pkt.payload = std::move(payload);
+  send_unicast(std::move(pkt));
 }
 
 void AodvRouter::send_to_neighbor(net::NodeId neighbor, net::Payload payload) {
@@ -101,7 +116,12 @@ void AodvRouter::broadcast_jittered(net::Payload payload, std::uint8_t ttl,
 void AodvRouter::route_hint(net::NodeId dest, net::NodeId via_neighbor, std::uint8_t hops) {
   if (dest == self_) return;
   routes_.offer(dest, net::SeqNo{}, /*seq_known=*/false, hops, via_neighbor,
-                sim_.now() + params_.active_route_timeout);
+                sim_.now() + kActiveRouteTimeout);
+}
+
+std::uint8_t AodvRouter::route_hops(net::NodeId dest) const {
+  const RouteEntry* e = routes_.find(dest);
+  return e != nullptr && e->valid ? e->hops : 0;
 }
 
 // ---------------------------------------------------------------- discovery
@@ -125,10 +145,10 @@ void AodvRouter::discover(net::NodeId dest) {
     rreq.dest_seq_known = true;
   }
   ++counters_.rreq_originated;
-  broadcast_packet(rreq, params_.net_ttl);
+  broadcast_packet(rreq, kNetTtl);
 
   // Binary backoff on the wait between attempts.
-  sim::Duration wait = params_.rreq_wait;
+  sim::Duration wait = kRreqWait;
   for (std::uint32_t i = 1; i < pending.attempts; ++i) wait = wait * std::int64_t{2};
   pending.timer->restart(wait);
 }
@@ -140,7 +160,7 @@ void AodvRouter::discovery_timeout(net::NodeId dest) {
     flush_buffered(dest);
     return;
   }
-  if (pending->attempts <= params_.rreq_retries) {
+  if (pending->attempts <= kRreqRetries) {
     discover(dest);
     return;
   }
@@ -167,7 +187,7 @@ void AodvRouter::on_packet_received(const net::Packet& packet, net::NodeId from)
           [&](const HelloMsg& hello) {
             // 1-hop route to the neighbor, refreshed every beacon.
             routes_.offer(hello.origin, hello.origin_seq, true, 1, hello.origin,
-                          sim_.now() + params_.neighbor_lifetime());
+                          sim_.now() + kNeighborLifetime);
           },
           [&](const RreqMsg& rreq) { process_rreq(packet, rreq, from); },
           [&](const RrepMsg& rrep) { process_rrep(packet, rrep, from); },
@@ -209,10 +229,10 @@ void AodvRouter::forward_unicast(net::Packet pkt, net::NodeId from) {
   const sim::SimTime now = sim_.now();
   // The path back to the packet's source runs through `from`; remember it.
   if (pkt.src != self_ && pkt.src != from) {
-    routes_.offer(pkt.src, net::SeqNo{}, false, 0, from, now + params_.reverse_route_life);
+    routes_.offer(pkt.src, net::SeqNo{}, false, 0, from, now + kReverseRouteLife);
   }
   if (RouteEntry* route = routes_.find_valid(pkt.dst, now)) {
-    routes_.refresh(pkt.dst, now + params_.active_route_timeout);
+    routes_.refresh(pkt.dst, now + kActiveRouteTimeout);
     ++counters_.unicast_forwarded;
     mac_.send(route->next_hop, std::move(pkt));
     return;
@@ -230,19 +250,19 @@ void AodvRouter::forward_unicast(net::Packet pkt, net::NodeId from) {
 
 void AodvRouter::learn_reverse_routes(const RreqMsg& rreq, net::NodeId from) {
   const sim::SimTime now = sim_.now();
-  routes_.offer(from, net::SeqNo{}, false, 1, from, now + params_.reverse_route_life);
+  routes_.offer(from, net::SeqNo{}, false, 1, from, now + kReverseRouteLife);
   routes_.offer(rreq.origin, rreq.origin_seq, true,
                 static_cast<std::uint8_t>(rreq.hop_count + 1), from,
-                now + params_.reverse_route_life);
+                now + kReverseRouteLife);
 }
 
 bool AodvRouter::rreq_seen_before(net::NodeId origin, std::uint32_t rreq_id) {
   const std::uint64_t key = rreq_key(origin, rreq_id);
   const sim::SimTime now = sim_.now();
   auto [expiry, inserted] =
-      rreq_cache_.try_emplace(key, now + params_.path_discovery_time);
+      rreq_cache_.try_emplace(key, now + kPathDiscoveryTime);
   if (!inserted && *expiry >= now) return true;
-  *expiry = now + params_.path_discovery_time;
+  *expiry = now + kPathDiscoveryTime;
   // Opportunistic cleanup keeps the cache bounded on long runs.
   if (rreq_cache_.size() > 2048) {
     rreq_cache_.erase_if(
@@ -284,7 +304,7 @@ bool AodvRouter::try_answer_unicast_rreq(const RreqMsg& rreq, net::NodeId from) 
     bump_own_seq();
     rrep.dest_seq = own_seq_;
     rrep.hop_count = 0;
-    rrep.lifetime = params_.active_route_timeout;
+    rrep.lifetime = kActiveRouteTimeout;
     send_rrep(from, rrep);
     return true;
   }
@@ -302,7 +322,7 @@ void AodvRouter::send_rrep(net::NodeId to_neighbor, const RrepMsg& rrep) {
   net::Packet pkt;
   pkt.src = self_;
   pkt.dst = to_neighbor;  // hop-by-hop; each hop re-addresses toward origin
-  pkt.ttl = params_.net_ttl;
+  pkt.ttl = kNetTtl;
   pkt.payload = rrep;
   ++counters_.rrep_sent;
   mac_.send(to_neighbor, std::move(pkt));
@@ -338,7 +358,7 @@ void AodvRouter::process_rrep(const net::Packet&, const RrepMsg& rrep, net::Node
   net::Packet pkt;
   pkt.src = self_;
   pkt.dst = back->next_hop;
-  pkt.ttl = params_.net_ttl;
+  pkt.ttl = kNetTtl;
   pkt.payload = fwd;
   mac_.send(back->next_hop, std::move(pkt));
 }
@@ -394,7 +414,7 @@ void AodvRouter::send_hello() {
 }
 
 void AodvRouter::sweep_neighbors() {
-  const sim::SimTime cutoff = sim_.now() - params_.neighbor_lifetime();
+  const sim::SimTime cutoff = sim_.now() - kNeighborLifetime;
   for (net::NodeId lost : neighbors_.sweep_expired(cutoff)) {
     ++counters_.link_breaks;
     ++counters_.link_breaks_hello;

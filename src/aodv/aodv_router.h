@@ -2,7 +2,9 @@
 // with RREQ/RREP, sequence-number freshness, hello-based neighbor
 // detection, RERR propagation on link breaks, and packet buffering during
 // discovery. Virtual hooks let MaodvRouter extend RREQ/RREP processing for
-// multicast joins and handle multicast-only message types.
+// multicast joins and handle multicast-only message types. Also implements
+// the unicast half of gossip::RoutingAdapter and the observer wiring, which
+// MAODV and ODMRP share; each adds its own membership and data plane.
 #ifndef AG_AODV_AODV_ROUTER_H
 #define AG_AODV_AODV_ROUTER_H
 
@@ -16,6 +18,7 @@
 #include "aodv/neighbor_table.h"
 #include "aodv/params.h"
 #include "aodv/route_table.h"
+#include "harness/multicast_router.h"
 #include "mac/csma_mac.h"
 #include "net/dense_map.h"
 #include "net/node_table.h"
@@ -25,17 +28,18 @@
 
 namespace ag::aodv {
 
-class AodvRouter : public mac::MacListener {
+class AodvRouter : public mac::MacListener, public harness::MulticastRouter {
  public:
-  AodvRouter(sim::Simulator& sim, mac::CsmaMac& mac, net::NodeId self,
-             AodvParams params, sim::Rng rng);
+  AodvRouter(sim::Simulator& sim, mac::CsmaMac& mac, net::NodeId self, sim::Rng rng);
   ~AodvRouter() override = default;
 
   // Begins hello beaconing and neighbor sweeping. Call once after wiring.
-  virtual void start();
+  void start() override;
 
-  [[nodiscard]] net::NodeId self() const { return self_; }
-  [[nodiscard]] const AodvParams& params() const { return params_; }
+  // Wires the gossip layer (or any observer); also routes gossip-layer
+  // unicast payloads delivered to this node into the observer.
+  void set_observer(gossip::RouterObserver* observer) override;
+
   [[nodiscard]] RouteTable& route_table() { return routes_; }
   [[nodiscard]] NeighborTable& neighbors() { return neighbors_; }
 
@@ -43,13 +47,17 @@ class AodvRouter : public mac::MacListener {
   // triggers route discovery and buffers when no route is known.
   void send_unicast(net::Packet pkt);
 
+  // --- gossip::RoutingAdapter ---
+  [[nodiscard]] net::NodeId self() const override { return self_; }
+  // Routed unicast of a payload with the network-wide TTL.
+  void unicast(net::NodeId dest, net::Payload payload) override;
   // Sends a payload directly to a known neighbor, bypassing the route
   // table (hop-by-hop protocol traffic: gossip walks, nearest-member).
-  void send_to_neighbor(net::NodeId neighbor, net::Payload payload);
-
+  void send_to_neighbor(net::NodeId neighbor, net::Payload payload) override;
   // Installs a route learned out-of-band (e.g. the reverse path of a
   // gossip walk), so replies do not need a fresh discovery.
-  void route_hint(net::NodeId dest, net::NodeId via_neighbor, std::uint8_t hops);
+  void route_hint(net::NodeId dest, net::NodeId via_neighbor, std::uint8_t hops) override;
+  [[nodiscard]] std::uint8_t route_hops(net::NodeId dest) const override;
 
   // Delivery of non-AODV unicast payloads addressed to this node
   // (gossip messages and replies, nearest-member updates).
@@ -114,6 +122,7 @@ class AodvRouter : public mac::MacListener {
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] const sim::Simulator& simulator() const { return sim_; }
   [[nodiscard]] sim::Rng& rng() { return rng_; }
+  [[nodiscard]] gossip::RouterObserver* observer() const { return observer_; }
   Counters& mutable_counters() { return counters_; }
 
  private:
@@ -138,8 +147,8 @@ class AodvRouter : public mac::MacListener {
   sim::Simulator& sim_;
   mac::CsmaMac& mac_;
   net::NodeId self_;
-  AodvParams params_;
   sim::Rng rng_;
+  gossip::RouterObserver* observer_{nullptr};
 
   RouteTable routes_;
   NeighborTable neighbors_;

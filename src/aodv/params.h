@@ -11,23 +11,18 @@
 
 namespace ag::aodv {
 
-struct AodvParams {
-  sim::Duration active_route_timeout{sim::Duration::ms(3000)};
-  sim::Duration reverse_route_life{sim::Duration::ms(3000)};
-  bool hello_enabled{true};
-  sim::Duration hello_interval{sim::Duration::ms(600)};
-  std::uint32_t allowed_hello_loss{4};
-  std::uint32_t rreq_retries{2};
-  // First-wait for RREPs; doubles on each retry (binary backoff).
-  sim::Duration rreq_wait{sim::Duration::ms(500)};
-  sim::Duration path_discovery_time{sim::Duration::ms(5000)};  // RREQ dedup cache
-  std::uint8_t net_ttl{16};
-  std::size_t max_buffered_per_dest{5};
-
-  [[nodiscard]] sim::Duration neighbor_lifetime() const {
-    return hello_interval * static_cast<std::int64_t>(allowed_hello_loss);
-  }
-};
+inline constexpr sim::Duration kActiveRouteTimeout = sim::Duration::ms(3000);
+inline constexpr sim::Duration kReverseRouteLife = sim::Duration::ms(3000);
+inline constexpr sim::Duration kHelloInterval = sim::Duration::ms(600);
+inline constexpr std::uint32_t kAllowedHelloLoss = 4;
+inline constexpr std::uint32_t kRreqRetries = 2;
+// First-wait for RREPs; doubles on each retry (binary backoff).
+inline constexpr sim::Duration kRreqWait = sim::Duration::ms(500);
+inline constexpr sim::Duration kPathDiscoveryTime = sim::Duration::ms(5000);  // RREQ dedup cache
+inline constexpr std::uint8_t kNetTtl = 16;
+inline constexpr std::size_t kMaxBufferedPerDest = 5;
+inline constexpr sim::Duration kNeighborLifetime =
+    kHelloInterval * static_cast<std::int64_t>(kAllowedHelloLoss);
 
 }  // namespace ag::aodv
 

@@ -7,20 +7,18 @@ namespace ag::dtn {
 ContactMonitor::ContactMonitor(sim::Simulator& sim,
                                const mobility::MobilityModel& mobility,
                                const phy::Channel& channel, std::size_t node_count,
-                               double range_m, sim::Duration poll,
-                               ContactFn on_contact)
+                               double range_m, ContactFn on_contact)
     : sim_{sim},
       mobility_{mobility},
       channel_{channel},
       node_count_{node_count},
       range_m_{range_m},
-      poll_interval_{poll},
       on_contact_{std::move(on_contact)},
       index_{mobility, node_count, range_m},
       prev_(node_count),
       timer_{sim, [this] { this->poll(); }, sim::EventCategory::dtn} {}
 
-void ContactMonitor::start() { timer_.start(poll_interval_); }
+void ContactMonitor::start() { timer_.start(kContactPoll); }
 
 bool ContactMonitor::in_contact(std::size_t a, std::size_t b, mobility::Vec2 pa,
                                 sim::SimTime now) const {

@@ -11,6 +11,7 @@
 #include <functional>
 #include <vector>
 
+#include "dtn/params.h"
 #include "mobility/mobility_model.h"
 #include "phy/channel.h"
 #include "phy/spatial_index.h"
@@ -27,10 +28,11 @@ class ContactMonitor {
 
   ContactMonitor(sim::Simulator& sim, const mobility::MobilityModel& mobility,
                  const phy::Channel& channel, std::size_t node_count,
-                 double range_m, sim::Duration poll, ContactFn on_contact);
+                 double range_m, ContactFn on_contact);
 
-  // Starts the periodic sweep (no jitter: polls draw no randomness, so an
-  // armed monitor never perturbs the run's rng streams).
+  // Starts the periodic sweep every kContactPoll (no jitter: polls draw
+  // no randomness, so an armed monitor never perturbs the run's rng
+  // streams).
   void start();
   void stop() { timer_.stop(); }
 
@@ -49,7 +51,6 @@ class ContactMonitor {
   const phy::Channel& channel_;
   std::size_t node_count_;
   double range_m_;
-  sim::Duration poll_interval_;
   ContactFn on_contact_;
   phy::SpatialIndex index_;
   std::vector<std::vector<std::uint32_t>> prev_;  // sorted neighbor lists

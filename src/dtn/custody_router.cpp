@@ -4,12 +4,11 @@ namespace ag::dtn {
 
 namespace {
 
-std::uint32_t scaled_budget(std::uint32_t budget, bool gateway,
-                            std::uint32_t factor) {
+std::uint32_t scaled_budget(std::uint32_t budget, bool gateway) {
   // Gateways hold more (they bridge partitions); a zero budget stays zero
   // so the armed-but-empty configuration is gateway-independent.
-  if (!gateway || factor <= 1 || budget == 0) return budget;
-  const std::uint64_t scaled = static_cast<std::uint64_t>(budget) * factor;
+  if (!gateway || budget == 0) return budget;
+  const std::uint64_t scaled = static_cast<std::uint64_t>(budget) * kGatewayBudgetFactor;
   return scaled > 0xFFFFFFFFull ? 0xFFFFFFFFu : static_cast<std::uint32_t>(scaled);
 }
 
@@ -22,11 +21,9 @@ CustodyRouter::CustodyRouter(sim::Simulator& sim, mac::CsmaMac& mac,
       mac_{mac},
       inner_{std::move(inner)},
       inner_listener_{dynamic_cast<mac::MacListener*>(inner_.get())},
-      params_{params},
       gateway_{gateway},
-      store_{scaled_budget(params.max_messages, gateway, params.gateway_budget_factor),
-             scaled_budget(params.max_bytes, gateway, params.gateway_budget_factor),
-             params.ttl} {
+      store_{scaled_budget(params.max_messages, gateway), scaled_budget(kMaxBytes, gateway),
+             kCustodyTtl} {
   // The inner router registered itself with the MAC in its constructor;
   // interpose so custody handoffs never reach it.
   mac_.set_listener(this);
@@ -95,7 +92,7 @@ void CustodyRouter::on_unicast_failed(const net::Packet& packet,
 void CustodyRouter::offer_to(net::NodeId peer) {
   if (peer == inner_->self()) return;
   offer_scratch_.clear();
-  store_.collect_oldest(sim_.now(), params_.offer_batch, offer_scratch_);
+  store_.collect_oldest(sim_.now(), kOfferBatch, offer_scratch_);
   for (const net::MulticastData& d : offer_scratch_) {
     net::Packet pkt;
     pkt.src = inner_->self();

@@ -131,7 +131,6 @@ class CustodyRouter final : public harness::MulticastRouter,
   mac::CsmaMac& mac_;
   std::unique_ptr<harness::MulticastRouter> inner_;
   mac::MacListener* inner_listener_;  // the inner router as a MAC listener
-  CustodyParams params_;
   bool gateway_;
   CustodyStore store_;
   gossip::RouterObserver* observer_{nullptr};

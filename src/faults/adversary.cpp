@@ -157,7 +157,7 @@ void AdversaryRouter::decay(NeighborTrust& t, sim::SimTime now) const {
   const double dt = (now - t.last_decay).to_seconds();
   if (dt <= 0.0) return;
   t.last_decay = now;
-  const double f = std::exp(-dt / trust_.decay_tau_s);
+  const double f = std::exp(-dt / kTrustDecayTauS);
   t.expected *= f;
   t.observed *= f;
   t.junk *= f;
@@ -197,7 +197,7 @@ void AdversaryRouter::watch_data_frame(const mac::Frame& frame, bool own,
   const net::NodeId me = self();
   trust_table_.for_each([&](net::NodeId id, NeighborTrust& t) {
     if (id == me) return;
-    if ((now - t.last_heard).to_seconds() > trust_.neighbor_ttl_s) return;
+    if ((now - t.last_heard).to_seconds() > kTrustNeighborTtlS) return;
     live_scratch_.push_back(id);
   });
   for (const net::NodeId id : live_scratch_) {
@@ -238,8 +238,8 @@ void AdversaryRouter::score_reply(const gossip::GossipReplyMsg& reply,
   }
   t.junk += 1.0;
   ++counters_.junk_replies_seen;
-  if (!t.isolated && t.junk >= trust_.min_junk &&
-      t.junk >= trust_.junk_ratio_floor * (t.junk + t.useful)) {
+  if (!t.isolated && t.junk >= kTrustMinJunk &&
+      t.junk >= kTrustJunkRatioFloor * (t.junk + t.useful)) {
     isolate(reply.responder, t, now);
   }
 }

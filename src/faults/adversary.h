@@ -218,7 +218,7 @@ class AdversaryRouter final : public harness::MulticastRouter,
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
-  // Per-neighbor trust state; all mass decays with decay_tau_s.
+  // Per-neighbor trust state; all mass decays with kTrustDecayTauS.
   struct NeighborTrust {
     double expected{0.0};  // relays this neighbor owed (watchdog)
     double observed{0.0};  // relays actually overheard from it

@@ -147,15 +147,13 @@ void synthesize_into(FaultPlan& plan, const FaultSpec& spec, std::size_t node_co
           static_cast<std::int64_t>(i), static_cast<std::int64_t>(candidates.size()) - 1));
       std::swap(candidates[i], candidates[j]);
       const double at = rng.uniform(0.2 * duration_s, 0.7 * duration_s);
-      plan.crash(candidates[i], at, spec.crash_downtime_s, spec.crash_policy);
+      plan.crash(candidates[i], at, spec.crash_downtime_s, kCrashPolicy);
     }
   }
 
-  // One partition episode, centered unless the spec pins its start.
+  // One partition episode, centered in the run.
   if (spec.partition_duration_s > 0.0) {
-    const double at = spec.partition_at_s >= 0.0
-                          ? spec.partition_at_s
-                          : std::max(0.0, (duration_s - spec.partition_duration_s) / 2.0);
+    const double at = std::max(0.0, (duration_s - spec.partition_duration_s) / 2.0);
     plan.partition_at_x(-1.0, at, spec.partition_duration_s);
   }
 }

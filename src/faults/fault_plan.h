@@ -68,15 +68,28 @@ struct AdversaryAssignment {
   double drop_fraction{0.7};
 };
 
+// Exponential decay time constant for all trust counters (sim clock;
+// decay is applied lazily on observation — never via timer events).
+inline constexpr double kTrustDecayTauS = 30.0;
+// Junk-reply scoring (any gossip substrate): isolate a responder whose
+// replies are overwhelmingly already-held duplicates — at least
+// kTrustMinJunk of them, making up kTrustJunkRatioFloor of its replies.
+inline constexpr double kTrustJunkRatioFloor = 0.8;
+inline constexpr double kTrustMinJunk = 3.0;
+// A neighbor accrues forwarding expectation only while heard within
+// this window — i.e. only while provably in radio range right now.
+// Kept tight on purpose: with mobility, a wide window keeps crediting
+// neighbors that have drifted out of range (whose relays are then
+// inaudible by physics, not malice), and those phantom debts are what
+// turn fringe nodes into watchdog false positives.
+inline constexpr double kTrustNeighborTtlS = 2.0;
+
 // Trust layer configuration (the detection/isolation side of the
 // adversary axis — see faults::AdversaryRouter). Disabled by default;
 // enabling it on a run with zero adversaries must not change the run
 // (the trust tables are bookkeeping only until an isolation fires).
 struct TrustParams {
   bool enabled{false};
-  // Exponential decay time constant for all trust counters (sim clock;
-  // decay is applied lazily on observation — never via timer events).
-  double decay_tau_s{30.0};
   // Forwarding watchdog: isolate a neighbor whose observed/expected
   // relay ratio sits below the floor once enough expectation mass has
   // accrued. Only armed on relay-everything substrates (flooding), where
@@ -92,17 +105,6 @@ struct TrustParams {
   bool watchdog{false};
   double forward_ratio_floor{0.25};
   double min_expected{40.0};
-  // Junk-reply scoring (any gossip substrate): isolate a responder whose
-  // replies are overwhelmingly already-held duplicates.
-  double junk_ratio_floor{0.8};
-  double min_junk{3.0};
-  // A neighbor accrues forwarding expectation only while heard within
-  // this window — i.e. only while provably in radio range right now.
-  // Kept tight on purpose: with mobility, a wide window keeps crediting
-  // neighbors that have drifted out of range (whose relays are then
-  // inaudible by physics, not malice), and those phantom debts are what
-  // turn fringe nodes into watchdog false positives.
-  double neighbor_ttl_s{2.0};
 };
 
 struct FaultPlan {
@@ -160,6 +162,9 @@ struct FaultPlan {
   void validate(std::size_t node_count) const;
 };
 
+// Synthesized crashes wipe volatile state on reboot.
+inline constexpr RebootPolicy kCrashPolicy = RebootPolicy::wipe;
+
 // The sweepable fault axes: a spec is expanded into concrete events by
 // synthesize_into, deterministically from its own rng stream. All fields
 // zero (the default) means no faults at all.
@@ -171,11 +176,8 @@ struct FaultSpec {
   // Fraction of nodes (excluding the source) crashed once mid-run.
   double crash_fraction{0.0};
   double crash_downtime_s{30.0};
-  RebootPolicy crash_policy{RebootPolicy::wipe};
-  // One partition episode of this length mid-run when > 0.
+  // One partition episode of this length, centered in the run, when > 0.
   double partition_duration_s{0.0};
-  // Episode start; negative centers it in the run.
-  double partition_at_s{-1.0};
   // Adversary axis: fraction of nodes (excluding the source) flipped
   // into `adversary_mode` for the whole run. Synthesized on its own rng
   // stream by synthesize_adversaries_into — and deliberately NOT part of

@@ -2,13 +2,8 @@
 
 namespace ag::flood {
 
-FloodRouter::FloodRouter(mac::CsmaMac& mac, net::NodeId self, std::uint8_t data_ttl,
-                         std::size_t dedup_capacity, bool gossip_links)
-    : mac_{mac},
-      self_{self},
-      data_ttl_{data_ttl},
-      dedup_capacity_{dedup_capacity},
-      gossip_links_{gossip_links} {
+FloodRouter::FloodRouter(mac::CsmaMac& mac, net::NodeId self, bool gossip_links)
+    : mac_{mac}, self_{self}, gossip_links_{gossip_links} {
   mac_.set_listener(this);
 }
 
@@ -24,16 +19,6 @@ void FloodRouter::leave_group(net::GroupId group) {
   }
 }
 
-bool FloodRouter::remember(const net::MsgId& id) {
-  if (!seen_.insert(net::msg_key(id))) return false;
-  seen_order_.push_back(id);
-  while (seen_order_.size() > dedup_capacity_) {
-    seen_.erase(net::msg_key(seen_order_.front()));
-    seen_order_.pop_front();
-  }
-  return true;
-}
-
 std::uint32_t FloodRouter::send_multicast(net::GroupId group, std::uint16_t payload_bytes) {
   const std::uint32_t seq = next_seq_[group]++;
   net::MulticastData data;
@@ -43,13 +28,13 @@ std::uint32_t FloodRouter::send_multicast(net::GroupId group, std::uint16_t payl
   data.payload_bytes = payload_bytes;
   data.sent_at = mac_.now();
   data.hops = 0;
-  remember(net::MsgId{self_, seq});
+  seen_.insert(net::MsgId{self_, seq});
   ++counters_.data_originated;
   if (observer_ != nullptr) observer_->on_multicast_data(data, self_);
   net::Packet pkt;
   pkt.src = self_;
   pkt.dst = net::NodeId::broadcast();
-  pkt.ttl = data_ttl_;
+  pkt.ttl = kDataTtl;
   pkt.payload = data;
   mac_.send(net::NodeId::broadcast(), std::move(pkt));
   return seq;
@@ -65,7 +50,7 @@ void FloodRouter::on_packet_received(const net::Packet& packet, net::NodeId from
   }
   const auto* data = packet.get_if<net::MulticastData>();
   if (data == nullptr) return;
-  if (!remember(net::MsgId{data->origin, data->seq})) {
+  if (!seen_.insert(net::MsgId{data->origin, data->seq})) {
     ++counters_.duplicates;
     return;
   }
@@ -139,7 +124,7 @@ void FloodRouter::unicast(net::NodeId dest, net::Payload payload) {
   net::Packet pkt;
   pkt.src = self_;
   pkt.dst = dest;
-  pkt.ttl = data_ttl_;
+  pkt.ttl = kDataTtl;
   pkt.payload = std::move(payload);
   mac_.send(next, std::move(pkt));
 }

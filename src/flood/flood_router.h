@@ -17,7 +17,6 @@
 #define AG_FLOOD_FLOOD_ROUTER_H
 
 #include <cstdint>
-#include <deque>
 
 #include "gossip/routing_adapter.h"
 #include "harness/multicast_router.h"
@@ -31,12 +30,11 @@ namespace ag::flood {
 
 class FloodRouter final : public mac::MacListener, public harness::MulticastRouter {
  public:
-  static constexpr std::size_t kDedupCapacity = 8192;
+  static constexpr std::uint8_t kDataTtl = 32;
   // A transmitter counts as a live neighbor this long after last heard.
   static constexpr double kNeighborTtlS = 10.0;
 
-  FloodRouter(mac::CsmaMac& mac, net::NodeId self, std::uint8_t data_ttl = 32,
-              std::size_t dedup_capacity = kDedupCapacity, bool gossip_links = false);
+  FloodRouter(mac::CsmaMac& mac, net::NodeId self, bool gossip_links = false);
 
   void set_observer(gossip::RouterObserver* observer) override {
     observer_ = observer;
@@ -48,7 +46,6 @@ class FloodRouter final : public mac::MacListener, public harness::MulticastRout
   void reset() override {
     members_.clear();
     seen_.clear();
-    seen_order_.clear();
     heard_.clear();
     hints_.clear();
   }
@@ -100,7 +97,6 @@ class FloodRouter final : public mac::MacListener, public harness::MulticastRout
     std::uint8_t hops{0};
   };
 
-  bool remember(const net::MsgId& id);
   // Live next hop toward `dest`: the node itself when recently heard,
   // else a recently-heard hint. invalid() when neither is live.
   [[nodiscard]] net::NodeId next_hop_for(net::NodeId dest) const;
@@ -108,14 +104,11 @@ class FloodRouter final : public mac::MacListener, public harness::MulticastRout
 
   mac::CsmaMac& mac_;
   net::NodeId self_;
-  std::uint8_t data_ttl_;
-  std::size_t dedup_capacity_;
   const bool gossip_links_;
   gossip::RouterObserver* observer_{nullptr};
   net::IdSet<net::GroupId> members_;
   net::NodeTable<std::uint32_t, net::GroupId> next_seq_;
-  net::DenseSet seen_;
-  std::deque<net::MsgId> seen_order_;
+  net::DedupWindow seen_;
   net::NodeTable<sim::SimTime> heard_;  // gossip_links: last frame per neighbor
   net::NodeTable<Hint> hints_;          // gossip_links: reverse-path hints
   Counters counters_;

@@ -32,7 +32,7 @@ void GossipAgent::reset() {
 
 GossipAgent::GroupState& GossipAgent::state_for(net::GroupId group) {
   auto& state = groups_[group];
-  if (state == nullptr) state = std::make_unique<GroupState>(params_);
+  if (state == nullptr) state = std::make_unique<GroupState>();
   return *state;
 }
 
@@ -104,8 +104,7 @@ void GossipAgent::on_member_learned(net::GroupId group, net::NodeId member,
 // ---------------------------------------------------------------- rounds
 
 void GossipAgent::run_round() {
-  if (params_.nm_refresh_rounds > 0 &&
-      ++rounds_since_nm_refresh_ >= params_.nm_refresh_rounds) {
+  if (++rounds_since_nm_refresh_ >= kNmRefreshRounds) {
     rounds_since_nm_refresh_ = 0;
     nm_.republish_all();
   }
@@ -125,7 +124,7 @@ GossipMsg GossipAgent::build_message(net::GroupId group, GroupState& gs) const {
   msg.hops_walked = 0;
   msg.pull = params_.exchange_mode != ExchangeMode::push;
   if (msg.pull) {
-    msg.lost = gs.lost.most_recent(params_.max_lost_in_message);
+    msg.lost = gs.lost.most_recent(kMaxLostInMessage);
     msg.expected = gs.lost.expectations();
   }
   if (params_.exchange_mode != ExchangeMode::pull) {
@@ -314,7 +313,7 @@ void GossipAgent::handle_request(const GossipMsg& msg) {
     sim_.schedule_after(
         delay, [this, to = msg.initiator, reply] { adapter_.unicast(to, reply); },
         sim::EventCategory::router);
-    delay = delay + params_.reply_spacing +
+    delay = delay + kReplySpacing +
             sim::Duration::us(rng_.uniform_int(0, 2000));
   }
 }

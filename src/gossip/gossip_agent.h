@@ -82,10 +82,7 @@ class GossipAgent final : public RouterObserver {
     LostTable lost;
     HistoryTable history;
     MemberCache cache;
-    GroupState(const GossipParams& p)
-        : lost{p.lost_table_capacity},
-          history{p.history_capacity},
-          cache{p.member_cache_size} {}
+    GroupState() : lost{kLostTableCapacity}, history{kHistoryCapacity}, cache{kMemberCacheSize} {}
   };
 
   GroupState& state_for(net::GroupId group);

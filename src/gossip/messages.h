@@ -24,7 +24,7 @@ struct SenderExpectation {
 struct GossipMsg {
   net::GroupId group;
   net::NodeId initiator;
-  std::vector<net::MsgId> lost;  // bounded by GossipParams::max_lost_in_message
+  std::vector<net::MsgId> lost;  // bounded by kMaxLostInMessage
   std::vector<SenderExpectation> expected;
   // Push / push-pull modes only: recent messages shipped proactively
   // (empty under the paper's pull protocol).

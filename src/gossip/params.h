@@ -13,6 +13,16 @@
 
 namespace ag::gossip {
 
+inline constexpr std::size_t kMaxLostInMessage = 10;
+inline constexpr std::size_t kMemberCacheSize = 10;
+inline constexpr std::size_t kLostTableCapacity = 200;
+inline constexpr std::size_t kHistoryCapacity = 100;
+// Nearest-member soft-state refresh, in gossip rounds (edge activation
+// is not atomic, so a MODIFY can be lost; refresh repairs the gradient).
+inline constexpr std::uint32_t kNmRefreshRounds = 5;
+// Base gap between the replies to one request (plus up to 2 ms jitter).
+inline constexpr sim::Duration kReplySpacing = sim::Duration::ms(5);
+
 // Direction of information exchange (paper section 4.4, citing Demers et
 // al.): the paper implements pull; push and push-pull are provided for
 // the design-space ablation.
@@ -36,14 +46,10 @@ struct GossipParams {
   // Probability that a member hit by a walk accepts rather than
   // propagates (section 4.1: "randomly decides").
   double p_accept{0.5};
-  std::size_t max_lost_in_message{10};
-  std::size_t member_cache_size{10};
   // Age out member-cache entries not confirmed by traffic for this long —
   // how peers forget departed/crashed members under churn. zero() (the
   // default, and the paper's static-membership setting) disables aging.
   sim::Duration member_cache_ttl{sim::Duration::zero()};
-  std::size_t lost_table_capacity{200};
-  std::size_t history_capacity{100};
   // Safety bound on walk length; tree propagation already terminates at
   // leaves, this guards against transient loops mid-repair.
   std::uint8_t walk_ttl{16};
@@ -51,13 +57,9 @@ struct GossipParams {
   // 1 / nearest_member^alpha. alpha = 0 disables the bias (ablation).
   double locality_alpha{2.0};
   bool locality_bias{true};
-  // Nearest-member soft-state refresh, in gossip rounds (edge activation
-  // is not atomic, so a MODIFY can be lost; refresh repairs the gradient).
-  std::uint32_t nm_refresh_rounds{5};
   // Replies per handled gossip request (lost buffer answers plus
   // beyond-expected pushes share this budget).
   std::size_t reply_budget{10};
-  sim::Duration reply_spacing{sim::Duration::ms(5)};
 };
 
 }  // namespace ag::gossip

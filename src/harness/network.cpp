@@ -135,7 +135,7 @@ Network::Network(const ScenarioConfig& config)
       sim_, config_.workload,
       [&src](std::uint16_t bytes) { src.router->send_multicast(kGroup, bytes); });
 
-  // Start protocol machinery and schedule joins spread over join_spread.
+  // Start protocol machinery and schedule joins spread over kJoinSpread.
   wants_member_.assign(config_.node_count, 0);
   sim::Rng join_rng = sim_.rng().stream("join");
   for (std::size_t i = 0; i < stacks_.size(); ++i) {
@@ -144,8 +144,7 @@ Network::Network(const ScenarioConfig& config)
     s.agent->start();
     if (i < members) {
       wants_member_[i] = 1;
-      const auto delay = sim::Duration::us(
-          join_rng.uniform_int(0, std::max<std::int64_t>(config_.join_spread.count_us(), 1)));
+      const auto delay = sim::Duration::us(join_rng.uniform_int(0, kJoinSpread.count_us()));
       sim_.schedule_after(
           delay, [this, i] { stacks_[i]->router->join_group(kGroup); },
           sim::EventCategory::router);
@@ -170,7 +169,7 @@ Network::Network(const ScenarioConfig& config)
   if (config_.custody.enabled) {
     contact_monitor_ = std::make_unique<dtn::ContactMonitor>(
         sim_, *mobility_, *channel_, config_.node_count,
-        config_.phy.transmission_range_m, config_.custody.contact_poll,
+        config_.phy.transmission_range_m,
         [this](std::size_t node, std::size_t peer) {
           custody_[node]->offer_to(net::NodeId{static_cast<std::uint32_t>(peer)});
         });

@@ -12,27 +12,21 @@ namespace ag::harness {
 namespace {
 
 std::unique_ptr<MulticastRouter> make_maodv(const RouterContext& ctx) {
-  return std::make_unique<maodv::MaodvRouter>(
-      ctx.sim, ctx.mac, ctx.id, ctx.config.aodv, ctx.config.maodv,
-      ctx.sim.rng().stream("aodv", ctx.index));
+  return std::make_unique<maodv::MaodvRouter>(ctx.sim, ctx.mac, ctx.id,
+                                              ctx.sim.rng().stream("aodv", ctx.index));
 }
 
 std::unique_ptr<MulticastRouter> make_odmrp(const RouterContext& ctx) {
-  return std::make_unique<odmrp::OdmrpRouter>(
-      ctx.sim, ctx.mac, ctx.id, ctx.config.aodv, ctx.config.odmrp,
-      ctx.sim.rng().stream("aodv", ctx.index));
+  return std::make_unique<odmrp::OdmrpRouter>(ctx.sim, ctx.mac, ctx.id,
+                                              ctx.sim.rng().stream("aodv", ctx.index));
 }
 
 std::unique_ptr<MulticastRouter> make_flood(const RouterContext& ctx) {
-  return std::make_unique<flood::FloodRouter>(ctx.mac, ctx.id,
-                                              ctx.config.maodv.data_ttl);
+  return std::make_unique<flood::FloodRouter>(ctx.mac, ctx.id);
 }
 
 std::unique_ptr<MulticastRouter> make_flood_gossip(const RouterContext& ctx) {
-  return std::make_unique<flood::FloodRouter>(ctx.mac, ctx.id,
-                                              ctx.config.maodv.data_ttl,
-                                              flood::FloodRouter::kDedupCapacity,
-                                              /*gossip_links=*/true);
+  return std::make_unique<flood::FloodRouter>(ctx.mac, ctx.id, /*gossip_links=*/true);
 }
 
 }  // namespace

@@ -8,16 +8,13 @@
 #include <stdexcept>
 #include <string>
 
-#include "aodv/params.h"
 #include "app/workload.h"
 #include "dtn/params.h"
 #include "faults/fault_plan.h"
 #include "gossip/params.h"
 #include "session/session_params.h"
 #include "mac/mac_params.h"
-#include "maodv/params.h"
 #include "mobility/random_waypoint.h"
-#include "odmrp/params.h"
 #include "phy/phy_params.h"
 
 namespace ag::harness {
@@ -36,6 +33,10 @@ enum class Protocol : std::uint8_t {
   flooding_gossip,
 };
 
+// Members join within [0, kJoinSpread] of the start ("all the nodes
+// joined the group at the beginning of the simulation").
+inline constexpr sim::Duration kJoinSpread = sim::Duration::seconds(5.0);
+
 struct ScenarioConfig {
   std::uint64_t seed{1};
   Protocol protocol{Protocol::maodv_gossip};
@@ -46,9 +47,6 @@ struct ScenarioConfig {
   mobility::RandomWaypointConfig waypoint{};  // 200x200 m, pause U(0,80) s
   phy::PhyParams phy{};                       // range set per experiment
   mac::MacParams mac{};
-  aodv::AodvParams aodv{};
-  maodv::MaodvParams maodv{};
-  odmrp::OdmrpParams odmrp{};
   gossip::GossipParams gossip{};
   app::Workload workload{};
   // Fault & churn injection: scripted events plus the synthesizable spec
@@ -67,9 +65,6 @@ struct ScenarioConfig {
   faults::TrustParams trust{};
 
   sim::SimTime duration{sim::SimTime::seconds(600.0)};
-  // Members join within [0, join_spread) of the start ("all the nodes
-  // joined the group at the beginning of the simulation").
-  sim::Duration join_spread{sim::Duration::seconds(5.0)};
 
   // Group size implied by member_fraction, floored at 2 (a source plus at
   // least one receiver). Rejects configurations that used to be clamped

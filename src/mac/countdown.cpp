@@ -9,12 +9,12 @@ bool FusedCountdown::resume(sim::Duration idle) {
   // deadline. A busy transition before it fires pauses by crediting whole
   // elapsed slots; the deadline firing means the medium stayed idle
   // throughout, so the whole countdown completed.
-  const bool difs_served = idle >= difs_;
+  const bool difs_served = idle >= kDifs;
   if (difs_served && slots_ == 0) return true;
-  const sim::Duration difs_remaining = difs_served ? sim::Duration::zero() : difs_ - idle;
+  const sim::Duration difs_remaining = difs_served ? sim::Duration::zero() : kDifs - idle;
   anchor_ = sim_.now() + difs_remaining;
   fused_difs_remaining_ = slots_ > 0 ? difs_remaining : sim::Duration::zero();
-  timer_.restart(difs_remaining + slot_ * slots_,
+  timer_.restart(difs_remaining + kSlot * slots_,
                  slots_ > 0 ? sim::EventCategory::mac_slot : sim::EventCategory::mac_difs);
   return false;
 }
@@ -43,7 +43,7 @@ void FusedCountdown::pause() {
       ++counters_.difs_events_elided;
     }
     if (since_anchor > sim::Duration::zero()) {
-      const std::int64_t whole = since_anchor.count_us() / slot_.count_us();
+      const std::int64_t whole = since_anchor.count_us() / kSlot.count_us();
       const auto credit =
           static_cast<std::uint32_t>(std::min<std::int64_t>(whole, slots_));
       slots_ -= credit;

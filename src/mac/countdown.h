@@ -44,10 +44,8 @@ class Countdown {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  protected:
-  Countdown(sim::Simulator& sim, const MacParams& params, std::function<void()> done)
+  Countdown(sim::Simulator& sim, std::function<void()> done)
       : sim_{sim},
-        slot_{params.slot},
-        difs_{params.difs},
         done_{std::move(done)},
         // Nominal category only: every restart passes its own.
         timer_{sim, [this] { fire(); }, sim::EventCategory::mac_slot} {}
@@ -56,8 +54,6 @@ class Countdown {
   virtual void fire() = 0;
 
   sim::Simulator& sim_;
-  sim::Duration slot_;
-  sim::Duration difs_;
   std::function<void()> done_;
   sim::Timer timer_;
   std::uint32_t slots_{0};
@@ -73,9 +69,9 @@ class FusedCountdown final : public Countdown {
  public:
   // `max_propagation` bounds any in-range sender's quantized propagation
   // delay; the exact-anchor tie rule in pause() needs it.
-  FusedCountdown(sim::Simulator& sim, const MacParams& params,
-                 sim::Duration max_propagation, std::function<void()> done)
-      : Countdown{sim, params, std::move(done)}, max_propagation_{max_propagation} {}
+  FusedCountdown(sim::Simulator& sim, sim::Duration max_propagation,
+                 std::function<void()> done)
+      : Countdown{sim, std::move(done)}, max_propagation_{max_propagation} {}
 
   bool resume(sim::Duration idle) override;
   void pause() override;

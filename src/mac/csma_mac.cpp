@@ -12,25 +12,24 @@ CsmaMac::CsmaMac(sim::Simulator& sim, phy::Radio& radio, const phy::Channel& cha
       radio_{radio},
       channel_{channel},
       self_{self},
-      params_{params},
       rng_{rng},
-      cw_{params.cw_min},
+      cw_{kCwMin},
       ack_timer_{sim, [this] { on_ack_timeout(); }, sim::EventCategory::mac_ack_timeout} {
   // Mirror of the channel's per-receiver delay quantization
   // (floor(d/c) + 1 us, d <= transmission range).
   const auto max_propagation = sim::Duration::us(
       static_cast<std::int64_t>(channel.params().transmission_range_m /
-                                channel.params().propagation_mps * 1e6) +
+                                phy::kPropagationMps * 1e6) +
       1);
   auto done = [this] { start_transmission(); };
-  countdown_ = params_.countdown != nullptr
-                   ? params_.countdown(sim, params_, max_propagation, done)
-                   : std::make_unique<FusedCountdown>(sim, params_, max_propagation, done);
+  countdown_ = params.countdown != nullptr
+                   ? params.countdown(sim, max_propagation, done)
+                   : std::make_unique<FusedCountdown>(sim, max_propagation, done);
   radio_.set_listener(this);
 }
 
 bool CsmaMac::send(net::NodeId mac_dst, net::PacketPtr packet) {
-  if (queue_.size() >= params_.queue_limit) {
+  if (queue_.size() >= kQueueLimit) {
     ++counters_.queue_drops;
     return false;
   }
@@ -45,7 +44,7 @@ void CsmaMac::power_cycle() {
   queue_.clear();
   last_rx_seq_.clear();
   retries_ = 0;
-  cw_ = params_.cw_min;
+  cw_ = kCwMin;
   // A frame already on the air completes through the tx_ack path of
   // on_transmit_complete, which touches no queue state; everything else
   // returns straight to idle.
@@ -56,12 +55,12 @@ void CsmaMac::begin_access() {
   assert(!queue_.empty());
   state_ = State::contending;
   retries_ = 0;
-  cw_ = params_.cw_min;
+  cw_ = kCwMin;
   // DCF rule: transmit after DIFS only if the medium was already idle when
   // the frame arrived; otherwise draw a random backoff. Without this,
   // every node that heard the same broadcast would retransmit in the same
   // slot and collide (the classic synchronized-forwarders storm).
-  if (radio_.medium_busy() || radio_.idle_for() < params_.difs) {
+  if (radio_.medium_busy() || radio_.idle_for() < kDifs) {
     draw_backoff();
   } else {
     countdown_->set_slots(0);
@@ -109,19 +108,19 @@ void CsmaMac::on_transmit_complete() {
   state_ = State::awaiting_ack;
   const Frame ack{FrameKind::ack, out.dst, self_, 0, {}};
   const sim::Duration timeout =
-      params_.sifs + channel_.airtime_of(ack) + params_.slot * 3;
+      kSifs + channel_.airtime_of(ack) + kSlot * 3;
   ack_timer_.restart(timeout);
 }
 
 void CsmaMac::on_ack_timeout() {
   assert(state_ == State::awaiting_ack);
   ++retries_;
-  if (retries_ > params_.retry_limit) {
+  if (retries_ > kRetryLimit) {
     ++counters_.unicast_failed;
     give_up_current();
     return;
   }
-  cw_ = std::min(cw_ * 2 + 1, params_.cw_max);
+  cw_ = std::min(cw_ * 2 + 1, kCwMax);
   draw_backoff();
   state_ = State::contending;
   resume_contention();
@@ -140,7 +139,7 @@ void CsmaMac::give_up_current() {
   if (listener_ != nullptr) listener_->on_unicast_failed(*out.packet, out.dst);
   if (state_ == State::contending) {
     retries_ = 0;
-    cw_ = params_.cw_min;
+    cw_ = kCwMin;
     draw_backoff();
     resume_contention();
   }
@@ -154,7 +153,7 @@ void CsmaMac::finish_current_and_continue() {
   }
   state_ = State::contending;
   retries_ = 0;
-  cw_ = params_.cw_min;
+  cw_ = kCwMin;
   // Post-transmission backoff decorrelates back-to-back senders.
   draw_backoff();
   resume_contention();
@@ -204,7 +203,7 @@ void CsmaMac::on_frame_received(const Frame& frame) {
 
 void CsmaMac::send_ack(net::NodeId to, std::uint16_t seq) {
   sim_.schedule_after(
-      params_.sifs,
+      kSifs,
       [this, to, seq] {
         if (radio_.transmitting()) {
           // Rare overlap: our own frame went on the air before the SIFS

@@ -133,7 +133,6 @@ class CsmaMac final : public phy::RadioListener {
   phy::Radio& radio_;
   const phy::Channel& channel_;
   net::NodeId self_;
-  MacParams params_;
   sim::Rng rng_;
   MacListener* listener_{nullptr};
   MacSniffer* sniffer_{nullptr};

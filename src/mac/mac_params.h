@@ -2,6 +2,7 @@
 #ifndef AG_MAC_MAC_PARAMS_H
 #define AG_MAC_MAC_PARAMS_H
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -16,20 +17,20 @@ namespace ag::mac {
 
 class Countdown;
 
+inline constexpr sim::Duration kSlot = sim::Duration::us(20);
+inline constexpr sim::Duration kSifs = sim::Duration::us(10);
+inline constexpr sim::Duration kDifs = sim::Duration::us(50);
+inline constexpr std::uint32_t kCwMin = 31;
+inline constexpr std::uint32_t kCwMax = 1023;
+inline constexpr std::uint32_t kRetryLimit = 7;
+inline constexpr std::size_t kQueueLimit = 50;  // interface queue, drop tail (ns-2 default)
+
 struct MacParams {
   // Builds a MAC's contention countdown (see mac::FusedCountdown).
   using CountdownFactory = std::unique_ptr<Countdown> (*)(sim::Simulator& sim,
-                                                          const MacParams& params,
                                                           sim::Duration max_propagation,
                                                           std::function<void()> done);
 
-  sim::Duration slot{sim::Duration::us(20)};
-  sim::Duration sifs{sim::Duration::us(10)};
-  sim::Duration difs{sim::Duration::us(50)};
-  std::uint32_t cw_min{31};
-  std::uint32_t cw_max{1023};
-  std::uint32_t retry_limit{7};
-  std::size_t queue_limit{50};  // interface queue, drop tail (ns-2 default)
   // Engine seam, set only by tests: nullptr runs mac::FusedCountdown; a
   // test installs an oracle countdown here (tests/reference/).
   CountdownFactory countdown{nullptr};

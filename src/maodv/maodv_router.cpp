@@ -6,20 +6,16 @@
 namespace ag::maodv {
 
 MaodvRouter::MaodvRouter(sim::Simulator& sim, mac::CsmaMac& mac, net::NodeId self,
-                         aodv::AodvParams aodv_params, MaodvParams maodv_params,
                          sim::Rng rng)
-    : AodvRouter{sim, mac, self, aodv_params, rng},
-      mparams_{maodv_params},
+    : AodvRouter{sim, mac, self, rng},
       grph_timer_{sim, [this] { emit_group_hellos(); }, sim::EventCategory::router},
       liveness_timer_{sim, [this] { check_group_liveness(); },
                       sim::EventCategory::router} {}
 
 void MaodvRouter::start() {
   AodvRouter::start();
-  grph_timer_.start(mparams_.group_hello_interval, &rng(),
-                    mparams_.group_hello_interval / 8);
-  liveness_timer_.start(mparams_.group_hello_interval, &rng(),
-                        mparams_.group_hello_interval / 8);
+  grph_timer_.start(kGroupHelloInterval, &rng(), kGroupHelloInterval / 8);
+  liveness_timer_.start(kGroupHelloInterval, &rng(), kGroupHelloInterval / 8);
 }
 
 void MaodvRouter::reset() {
@@ -32,19 +28,9 @@ void MaodvRouter::reset() {
   last_merge_attempt_.clear();
   corrective_prune_at_.clear();
   seen_data_.clear();
-  seen_data_order_.clear();
   mrt_.clear();
   reset_unicast_state();
   // next_data_seq_ survives: see harness::MulticastRouter::reset().
-}
-
-void MaodvRouter::set_observer(gossip::RouterObserver* observer) {
-  observer_ = observer;
-  if (observer_ != nullptr) {
-    set_local_deliver([this](const net::Packet& pkt, net::NodeId from) {
-      observer_->on_gossip_packet(pkt, from);
-    });
-  }
 }
 
 // ------------------------------------------------------------- membership
@@ -64,27 +50,11 @@ std::vector<net::NodeId> MaodvRouter::tree_neighbors(net::GroupId group) const {
   return e == nullptr ? std::vector<net::NodeId>{} : e->enabled_hops();
 }
 
-void MaodvRouter::unicast(net::NodeId dest, net::Payload payload) {
-  net::Packet pkt;
-  pkt.src = self();
-  pkt.dst = dest;
-  pkt.ttl = params().net_ttl;
-  pkt.payload = std::move(payload);
-  send_unicast(std::move(pkt));
-}
-
-std::uint8_t MaodvRouter::route_hops(net::NodeId dest) const {
-  // Route table access is non-const in the base; cast is safe (lookup only).
-  auto* self_mut = const_cast<MaodvRouter*>(this);
-  const aodv::RouteEntry* e = self_mut->route_table().find(dest);
-  return e != nullptr && e->valid ? e->hops : 0;
-}
-
 void MaodvRouter::join_group(net::GroupId group) {
   GroupEntry& e = mrt_.get_or_create(group);
   if (e.is_member) return;
   e.is_member = true;
-  if (observer_ != nullptr) observer_->on_self_membership_changed(group, true);
+  if (observer() != nullptr) observer()->on_self_membership_changed(group, true);
   if (e.on_tree()) return;  // already a tree router; membership flag suffices
   if (e.join_state != JoinState::none) return;
   start_join(group, /*repair=*/false);
@@ -94,7 +64,7 @@ void MaodvRouter::leave_group(net::GroupId group) {
   GroupEntry* e = mrt_.find(group);
   if (e == nullptr || !e->is_member) return;
   e->is_member = false;
-  if (observer_ != nullptr) observer_->on_self_membership_changed(group, false);
+  if (observer() != nullptr) observer()->on_self_membership_changed(group, false);
   maybe_self_prune(group);
 }
 
@@ -135,9 +105,9 @@ void MaodvRouter::start_join(net::GroupId group, bool repair, net::NodeId merge_
     rreq.mgl_present = true;
     rreq.mgl_hop_count = e.hops_to_leader;
   }
-  broadcast_packet(rreq, repair ? mparams_.repair_ttl : mparams_.join_ttl);
+  broadcast_packet(rreq, repair ? kRepairTtl : kJoinTtl);
 
-  sim::Duration wait = repair ? mparams_.repair_wait : mparams_.join_wait;
+  sim::Duration wait = repair ? kRepairWait : kJoinWait;
   for (std::uint32_t i = 1; i < attempt.attempts; ++i) wait = wait * std::int64_t{2};
   attempt.timer->restart(wait);
 }
@@ -184,7 +154,7 @@ bool MaodvRouter::try_answer_join_rreq(const aodv::RreqMsg& rreq, net::NodeId fr
   rrep.responder = self();
   rrep.responder_is_member = e->is_member;
   rrep.hop_count = 0;
-  rrep.lifetime = mparams_.graft_candidate_life;
+  rrep.lifetime = kGraftCandidateLife;
   send_rrep(from, rrep);
   return true;
 }
@@ -194,8 +164,8 @@ void MaodvRouter::handle_join_rrep(const aodv::RrepMsg& rrep, net::NodeId from) 
     JoinAttempt* found = joins_.find(rrep.group);
     if (found == nullptr) return;  // late RREP, join already resolved
     JoinAttempt& attempt = *found;
-    if (observer_ != nullptr && rrep.responder_is_member) {
-      observer_->on_member_learned(rrep.group, rrep.responder,
+    if (observer() != nullptr && rrep.responder_is_member) {
+      observer()->on_member_learned(rrep.group, rrep.responder,
                                    static_cast<std::uint8_t>(rrep.hop_count + 1));
     }
     const std::uint16_t total =
@@ -220,7 +190,7 @@ void MaodvRouter::handle_join_rrep(const aodv::RrepMsg& rrep, net::NodeId from) 
   // Intermediate hop: remember the upstream candidate for this (group,
   // origin) graft and relay toward the origin along the reverse route.
   grafts_[pair_key(rrep.group, rrep.origin)] =
-      GraftCandidate{from, simulator().now() + mparams_.graft_candidate_life};
+      GraftCandidate{from, simulator().now() + kGraftCandidateLife};
   aodv::RouteEntry* back = route_table().find_valid(rrep.origin, simulator().now());
   if (back == nullptr) return;
   aodv::RrepMsg fwd = rrep;
@@ -228,7 +198,7 @@ void MaodvRouter::handle_join_rrep(const aodv::RrepMsg& rrep, net::NodeId from) 
   net::Packet pkt;
   pkt.src = self();
   pkt.dst = back->next_hop;
-  pkt.ttl = params().net_ttl;
+  pkt.ttl = aodv::kNetTtl;
   pkt.payload = fwd;
   unicast_to_neighbor(back->next_hop, std::move(pkt));
 }
@@ -244,7 +214,7 @@ void MaodvRouter::join_wait_expired(net::GroupId group) {
     return;
   }
   const std::uint32_t max_attempts =
-      1 + (attempt.repair ? mparams_.repair_retries : mparams_.join_retries);
+      1 + (attempt.repair ? kRepairRetries : kJoinRetries);
   if (attempt.attempts < max_attempts) {
     start_join(group, attempt.repair, attempt.merge_target);
     return;
@@ -430,8 +400,8 @@ void MaodvRouter::activate_hop(GroupEntry& entry, net::NodeId hop, bool upstream
     entry.clear_upstream_flags();
     h.upstream = true;
   }
-  if (newly_enabled && observer_ != nullptr) {
-    observer_->on_tree_neighbor_added(entry.group, hop, member_distance_hint);
+  if (newly_enabled && observer() != nullptr) {
+    observer()->on_tree_neighbor_added(entry.group, hop, member_distance_hint);
   }
 }
 
@@ -440,8 +410,8 @@ void MaodvRouter::deactivate_hop(GroupEntry& entry, net::NodeId hop) {
   if (h == nullptr) return;
   const bool was_enabled = h->enabled;
   entry.remove_hop(hop);
-  if (was_enabled && observer_ != nullptr) {
-    observer_->on_tree_neighbor_removed(entry.group, hop);
+  if (was_enabled && observer() != nullptr) {
+    observer()->on_tree_neighbor_removed(entry.group, hop);
   }
 }
 
@@ -455,7 +425,7 @@ void MaodvRouter::emit_group_hellos() {
     e.last_group_hello = simulator().now();
     GrphMsg grph{group, self(), e.group_seq, 0, false, {}};
     ++mcounters_.grph_sent;
-    broadcast_packet(grph, mparams_.grph_ttl);
+    broadcast_packet(grph, kGrphTtl);
     // Tree-scoped beat: proves, edge by edge, that the tree still hangs
     // together (the flood above reaches everyone regardless of the tree,
     // so it cannot serve as a liveness signal).
@@ -552,7 +522,7 @@ void MaodvRouter::initiate_merge(net::GroupId group, net::NodeId other_leader) {
   if (e == nullptr || !e->is_leader) return;
   if (e->join_state != JoinState::none) return;
   auto [last, inserted] = last_merge_attempt_.try_emplace(group, sim::SimTime::zero());
-  if (!inserted && simulator().now() - *last < mparams_.merge_backoff) return;
+  if (!inserted && simulator().now() - *last < kMergeBackoff) return;
   *last = simulator().now();
   ++mcounters_.merges_initiated;
   start_join(group, /*repair=*/false, other_leader);
@@ -560,8 +530,7 @@ void MaodvRouter::initiate_merge(net::GroupId group, net::NodeId other_leader) {
 
 void MaodvRouter::check_group_liveness() {
   const sim::Duration limit =
-      mparams_.group_hello_interval *
-      static_cast<std::int64_t>(mparams_.allowed_group_hello_loss);
+      kGroupHelloInterval * static_cast<std::int64_t>(kAllowedGroupHelloLoss);
   mrt_.for_each([&](net::GroupId group, GroupEntry& e) {
     if (e.is_leader) return;
     if (e.join_state != JoinState::none) return;
@@ -600,21 +569,11 @@ std::uint32_t MaodvRouter::send_multicast(net::GroupId group, std::uint16_t payl
   data.payload_bytes = payload_bytes;
   data.sent_at = simulator().now();
   data.hops = 0;
-  remember_data(net::MsgId{self(), seq});
+  seen_data_.insert(net::MsgId{self(), seq});
   ++mcounters_.data_originated;
-  if (observer_ != nullptr) observer_->on_multicast_data(data, self());
-  broadcast_packet(data, mparams_.data_ttl);
+  if (observer() != nullptr) observer()->on_multicast_data(data, self());
+  broadcast_packet(data, kDataTtl);
   return seq;
-}
-
-bool MaodvRouter::remember_data(const net::MsgId& id) {
-  if (!seen_data_.insert(net::msg_key(id))) return false;
-  seen_data_order_.push_back(id);
-  while (seen_data_order_.size() > mparams_.data_dedup_capacity) {
-    seen_data_.erase(net::msg_key(seen_data_order_.front()));
-    seen_data_order_.pop_front();
-  }
-  return true;
 }
 
 void MaodvRouter::process_data(const net::Packet& packet, const net::MulticastData& data,
@@ -639,13 +598,13 @@ void MaodvRouter::process_data(const net::Packet& packet, const net::MulticastDa
     }
     return;
   }
-  if (!remember_data(net::MsgId{data.origin, data.seq})) {
+  if (!seen_data_.insert(net::MsgId{data.origin, data.seq})) {
     ++mcounters_.data_duplicates;
     return;
   }
   if (e->is_member) {
     ++mcounters_.data_delivered;
-    if (observer_ != nullptr) observer_->on_multicast_data(data, from);
+    if (observer() != nullptr) observer()->on_multicast_data(data, from);
   }
   // Relay along the remaining branches (one link-layer broadcast reaches
   // them all; non-tree neighbors reject it).

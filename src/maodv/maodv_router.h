@@ -2,36 +2,30 @@
 // shared-tree multicast with on-demand joins (RREQ-J / RREP-J / MACT),
 // group leaders emitting periodic group hellos, downstream-initiated tree
 // repair, partition handling with leader delegation, and tree merging when
-// two leaders discover each other. Implements the gossip RoutingAdapter so
-// Anonymous Gossip can layer on top without knowing MAODV internals.
+// two leaders discover each other. Completes the gossip RoutingAdapter
+// AodvRouter starts, so Anonymous Gossip can layer on top without knowing
+// MAODV internals.
 #ifndef AG_MAODV_MAODV_ROUTER_H
 #define AG_MAODV_MAODV_ROUTER_H
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
 #include "aodv/aodv_router.h"
-#include "gossip/routing_adapter.h"
-#include "harness/multicast_router.h"
 #include "maodv/messages.h"
 #include "maodv/multicast_route_table.h"
 #include "maodv/params.h"
 #include "net/data.h"
+#include "net/dense_map.h"
 
 namespace ag::maodv {
 
-class MaodvRouter : public aodv::AodvRouter, public harness::MulticastRouter {
+class MaodvRouter : public aodv::AodvRouter {
  public:
-  MaodvRouter(sim::Simulator& sim, mac::CsmaMac& mac, net::NodeId self,
-              aodv::AodvParams aodv_params, MaodvParams maodv_params, sim::Rng rng);
+  MaodvRouter(sim::Simulator& sim, mac::CsmaMac& mac, net::NodeId self, sim::Rng rng);
 
   void start() override;
   void reset() override;
-
-  // Wires the gossip layer (or any observer); also routes gossip-layer
-  // unicast payloads delivered to this node into the observer.
-  void set_observer(gossip::RouterObserver* observer) override;
 
   // --- membership / data API (used by applications) ---
   void join_group(net::GroupId group) override;
@@ -43,7 +37,6 @@ class MaodvRouter : public aodv::AodvRouter, public harness::MulticastRouter {
   [[nodiscard]] const GroupEntry* group_entry(net::GroupId group) const {
     return mrt_.find(group);
   }
-  [[nodiscard]] const MaodvParams& maodv_params() const { return mparams_; }
 
   struct McastCounters {
     std::uint64_t joins_started{0};
@@ -77,19 +70,10 @@ class MaodvRouter : public aodv::AodvRouter, public harness::MulticastRouter {
     totals.leaders_elected += mcounters_.leaders_elected;
   }
 
-  // --- gossip::RoutingAdapter ---
-  [[nodiscard]] net::NodeId self() const override { return AodvRouter::self(); }
+  // --- gossip::RoutingAdapter (the multicast half) ---
   [[nodiscard]] bool is_member(net::GroupId group) const override;
   [[nodiscard]] bool on_tree(net::GroupId group) const override;
   [[nodiscard]] std::vector<net::NodeId> tree_neighbors(net::GroupId group) const override;
-  void unicast(net::NodeId dest, net::Payload payload) override;
-  void send_to_neighbor(net::NodeId neighbor, net::Payload payload) override {
-    AodvRouter::send_to_neighbor(neighbor, std::move(payload));
-  }
-  void route_hint(net::NodeId dest, net::NodeId via_neighbor, std::uint8_t hops) override {
-    AodvRouter::route_hint(dest, via_neighbor, hops);
-  }
-  [[nodiscard]] std::uint8_t route_hops(net::NodeId dest) const override;
 
  protected:
   bool try_answer_join_rreq(const aodv::RreqMsg& rreq, net::NodeId from) override;
@@ -140,16 +124,13 @@ class MaodvRouter : public aodv::AodvRouter, public harness::MulticastRouter {
   void activate_hop(GroupEntry& entry, net::NodeId hop, bool upstream,
                     std::uint16_t member_distance_hint);
   void deactivate_hop(GroupEntry& entry, net::NodeId hop);
-  bool remember_data(const net::MsgId& id);
   // Packs a (group, node) pair into a DenseMap key — graft candidates,
   // GRPH dedup and corrective-prune throttling all index on such pairs.
   [[nodiscard]] static std::uint64_t pair_key(net::GroupId g, net::NodeId node) {
     return (static_cast<std::uint64_t>(g.value()) << 32) | node.value();
   }
 
-  MaodvParams mparams_;
   MulticastRouteTable mrt_;
-  gossip::RouterObserver* observer_{nullptr};
 
   net::NodeTable<JoinAttempt, net::GroupId> joins_;
   net::DenseMap<GraftCandidate> grafts_;  // key pair_key(group, origin)
@@ -160,8 +141,7 @@ class MaodvRouter : public aodv::AodvRouter, public harness::MulticastRouter {
   net::DenseMap<net::SeqNo> tree_beat_seen_;
   net::NodeTable<sim::SimTime, net::GroupId> last_merge_attempt_;
   net::DenseMap<sim::SimTime> corrective_prune_at_;
-  net::DenseSet seen_data_;
-  std::deque<net::MsgId> seen_data_order_;
+  net::DedupWindow seen_data_;
   sim::PeriodicTimer grph_timer_;
   sim::PeriodicTimer liveness_timer_;
   McastCounters mcounters_;

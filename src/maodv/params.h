@@ -2,33 +2,29 @@
 #ifndef AG_MAODV_PARAMS_H
 #define AG_MAODV_PARAMS_H
 
-#include <cstddef>
 #include <cstdint>
 
 #include "sim/time.h"
 
 namespace ag::maodv {
 
-struct MaodvParams {
-  sim::Duration group_hello_interval{sim::Duration::ms(5000)};
-  // Join: attempts = 1 + join_retries; first node to exhaust them becomes
-  // the group leader (draft behaviour for the first member).
-  std::uint32_t join_retries{2};
-  sim::Duration join_wait{sim::Duration::ms(750)};
-  std::uint32_t repair_retries{2};
-  sim::Duration repair_wait{sim::Duration::ms(750)};
-  // How long a forwarded join RREP's upstream candidate stays usable.
-  sim::Duration graft_candidate_life{sim::Duration::ms(4000)};
-  // Members that miss this many consecutive group hellos assume a silent
-  // partition and start a repair.
-  std::uint32_t allowed_group_hello_loss{3};
-  std::size_t data_dedup_capacity{8192};
-  sim::Duration merge_backoff{sim::Duration::ms(10000)};
-  std::uint8_t grph_ttl{32};
-  std::uint8_t join_ttl{16};
-  std::uint8_t repair_ttl{16};
-  std::uint8_t data_ttl{32};
-};
+inline constexpr sim::Duration kGroupHelloInterval = sim::Duration::ms(5000);
+// Join: attempts = 1 + kJoinRetries; first node to exhaust them becomes
+// the group leader (draft behaviour for the first member).
+inline constexpr std::uint32_t kJoinRetries = 2;
+inline constexpr sim::Duration kJoinWait = sim::Duration::ms(750);
+inline constexpr std::uint32_t kRepairRetries = 2;
+inline constexpr sim::Duration kRepairWait = sim::Duration::ms(750);
+// How long a forwarded join RREP's upstream candidate stays usable.
+inline constexpr sim::Duration kGraftCandidateLife = sim::Duration::ms(4000);
+// Members that miss this many consecutive group hellos assume a silent
+// partition and start a repair.
+inline constexpr std::uint32_t kAllowedGroupHelloLoss = 3;
+inline constexpr sim::Duration kMergeBackoff = sim::Duration::ms(10000);
+inline constexpr std::uint8_t kGrphTtl = 32;
+inline constexpr std::uint8_t kJoinTtl = 16;
+inline constexpr std::uint8_t kRepairTtl = 16;
+inline constexpr std::uint8_t kDataTtl = 32;
 
 }  // namespace ag::maodv
 

@@ -13,7 +13,9 @@
 #define AG_NET_DENSE_MAP_H
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -184,6 +186,34 @@ class DenseSet {
 
  private:
   DenseMap<char> map_;
+};
+
+// Duplicate suppression over the most recent kCapacity message ids, first
+// in first out: the routers' data-plane dedup (MAODV, ODMRP, flooding).
+class DedupWindow {
+ public:
+  static constexpr std::size_t kCapacity = 8192;
+
+  // True when `id` is new; it then enters the window, and the oldest id
+  // leaves once more than kCapacity are held.
+  bool insert(const MsgId& id) {
+    const std::uint64_t key = msg_key(id);
+    if (!seen_.insert(key)) return false;
+    order_.push_back(key);
+    if (order_.size() > kCapacity) {
+      seen_.erase(order_.front());
+      order_.pop_front();
+    }
+    return true;
+  }
+  void clear() {
+    seen_.clear();
+    order_.clear();
+  }
+
+ private:
+  DenseSet seen_;
+  std::deque<std::uint64_t> order_;
 };
 
 }  // namespace ag::net

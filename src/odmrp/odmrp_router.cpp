@@ -12,22 +12,19 @@ std::uint64_t query_key(net::GroupId group, net::NodeId source) {
 }  // namespace
 
 OdmrpRouter::OdmrpRouter(sim::Simulator& sim, mac::CsmaMac& mac, net::NodeId self,
-                         aodv::AodvParams aodv_params, OdmrpParams odmrp_params,
                          sim::Rng rng)
-    : AodvRouter{sim, mac, self, aodv_params, rng},
-      oparams_{odmrp_params},
+    : AodvRouter{sim, mac, self, rng},
       refresh_timer_{sim, [this] { refresh_tick(); }, sim::EventCategory::router} {}
 
 void OdmrpRouter::start() {
   AodvRouter::start();
-  refresh_timer_.start(oparams_.refresh_interval, &rng(), oparams_.refresh_interval / 8);
+  refresh_timer_.start(kRefreshInterval, &rng(), kRefreshInterval / 8);
 }
 
 void OdmrpRouter::reset() {
   refresh_timer_.stop();
   members_.clear();
   seen_data_.clear();
-  seen_data_order_.clear();
   query_seen_.clear();
   // Per-group soft state is wiped, but data/query sequence counters
   // survive: see harness::MulticastRouter::reset().
@@ -38,15 +35,6 @@ void OdmrpRouter::reset() {
     gs = std::move(fresh);
   });
   reset_unicast_state();
-}
-
-void OdmrpRouter::set_observer(gossip::RouterObserver* observer) {
-  observer_ = observer;
-  if (observer_ != nullptr) {
-    set_local_deliver([this](const net::Packet& pkt, net::NodeId from) {
-      observer_->on_gossip_packet(pkt, from);
-    });
-  }
 }
 
 OdmrpRouter::GroupState& OdmrpRouter::state_for(net::GroupId group) {
@@ -69,28 +57,13 @@ std::vector<net::NodeId> OdmrpRouter::mesh_neighbors(net::GroupId group) const {
   return out;
 }
 
-void OdmrpRouter::unicast(net::NodeId dest, net::Payload payload) {
-  net::Packet pkt;
-  pkt.src = self();
-  pkt.dst = dest;
-  pkt.ttl = params().net_ttl;
-  pkt.payload = std::move(payload);
-  send_unicast(std::move(pkt));
-}
-
-std::uint8_t OdmrpRouter::route_hops(net::NodeId dest) const {
-  auto* self_mut = const_cast<OdmrpRouter*>(this);
-  const aodv::RouteEntry* e = self_mut->route_table().find(dest);
-  return e != nullptr && e->valid ? e->hops : 0;
-}
-
 // ------------------------------------------------------------- membership
 
 void OdmrpRouter::join_group(net::GroupId group) {
   if (!members_.insert(group)) return;
   GroupState& gs = state_for(group);
   gs.member = true;
-  if (observer_ != nullptr) observer_->on_self_membership_changed(group, true);
+  if (observer() != nullptr) observer()->on_self_membership_changed(group, true);
   // Answer any queries already flooding so the mesh reaches us quickly.
   std::vector<net::NodeId> sources;
   gs.sources.for_each(
@@ -102,7 +75,7 @@ void OdmrpRouter::leave_group(net::GroupId group) {
   if (!members_.erase(group)) return;
   GroupState& gs = state_for(group);
   gs.member = false;
-  if (observer_ != nullptr) observer_->on_self_membership_changed(group, false);
+  if (observer() != nullptr) observer()->on_self_membership_changed(group, false);
   // Soft state simply stops being refreshed and times out.
 }
 
@@ -120,10 +93,10 @@ std::uint32_t OdmrpRouter::send_multicast(net::GroupId group, std::uint16_t payl
   data.seq = seq;
   data.payload_bytes = payload_bytes;
   data.sent_at = simulator().now();
-  remember_data(net::MsgId{self(), seq});
+  seen_data_.insert(net::MsgId{self(), seq});
   ++ocounters_.data_originated;
-  if (gs.member && observer_ != nullptr) observer_->on_multicast_data(data, self());
-  broadcast_packet(data, oparams_.data_ttl);
+  if (gs.member && observer() != nullptr) observer()->on_multicast_data(data, self());
+  broadcast_packet(data, kDataTtl);
 
   if (first_activity) refresh_tick();  // flood the first Join Query now
   return seq;
@@ -134,11 +107,11 @@ void OdmrpRouter::refresh_tick() {
   groups_.for_each([&](net::GroupId group, GroupState& gs) {
     expire_soft_state(group, gs);
     const bool active_source = gs.last_data_sent != sim::SimTime::zero() &&
-                               now - gs.last_data_sent <= oparams_.source_linger;
+                               now - gs.last_data_sent <= kSourceLinger;
     if (!active_source) return;
     JoinQueryMsg query{group, self(), gs.next_query_seq++, 0};
     ++ocounters_.queries_sent;
-    broadcast_packet(query, oparams_.query_ttl);
+    broadcast_packet(query, kQueryTtl);
   });
 }
 
@@ -146,7 +119,7 @@ void OdmrpRouter::expire_soft_state(net::GroupId group, GroupState& gs) {
   const sim::SimTime now = simulator().now();
   gs.mesh_peers.erase_if([&](net::NodeId peer, sim::SimTime& until) {
     if (until >= now) return false;
-    if (observer_ != nullptr) observer_->on_tree_neighbor_removed(group, peer);
+    if (observer() != nullptr) observer()->on_tree_neighbor_removed(group, peer);
     return true;
   });
 }
@@ -206,7 +179,7 @@ void OdmrpRouter::process_reply(const JoinReplyMsg& reply, net::NodeId from) {
     if (entry.next_hop != self()) continue;
     // We are on a member-to-source path: join the forwarding group.
     const bool was_forwarding = gs.forwarding_until >= simulator().now();
-    gs.forwarding_until = simulator().now() + oparams_.fg_timeout;
+    gs.forwarding_until = simulator().now() + kFgTimeout;
     if (!was_forwarding) ++ocounters_.fg_activations;
     note_mesh_peer(reply.group, gs, from);
     if (entry.source == self()) continue;  // the chain reached the source
@@ -226,31 +199,21 @@ void OdmrpRouter::process_reply(const JoinReplyMsg& reply, net::NodeId from) {
 
 void OdmrpRouter::note_mesh_peer(net::GroupId group, GroupState& gs, net::NodeId peer) {
   if (peer == self()) return;
-  const auto until = simulator().now() + oparams_.fg_timeout;
+  const auto until = simulator().now() + kFgTimeout;
   auto [expires, inserted] = gs.mesh_peers.try_emplace(peer, until);
   if (!inserted) {
     *expires = until;
     return;
   }
-  if (observer_ != nullptr) observer_->on_tree_neighbor_added(group, peer, 0);
+  if (observer() != nullptr) observer()->on_tree_neighbor_added(group, peer, 0);
 }
 
 // -------------------------------------------------------------- data path
 
-bool OdmrpRouter::remember_data(const net::MsgId& id) {
-  if (!seen_data_.insert(net::msg_key(id))) return false;
-  seen_data_order_.push_back(id);
-  while (seen_data_order_.size() > oparams_.data_dedup_capacity) {
-    seen_data_.erase(net::msg_key(seen_data_order_.front()));
-    seen_data_order_.pop_front();
-  }
-  return true;
-}
-
 void OdmrpRouter::process_data(const net::Packet& packet, const net::MulticastData& data,
                                net::NodeId from) {
   GroupState& gs = state_for(data.group);
-  if (!remember_data(net::MsgId{data.origin, data.seq})) {
+  if (!seen_data_.insert(net::MsgId{data.origin, data.seq})) {
     ++ocounters_.data_duplicates;
     return;
   }
@@ -258,7 +221,7 @@ void OdmrpRouter::process_data(const net::Packet& packet, const net::MulticastDa
   note_mesh_peer(data.group, gs, from);
   if (gs.member) {
     ++ocounters_.data_delivered;
-    if (observer_ != nullptr) observer_->on_multicast_data(data, from);
+    if (observer() != nullptr) observer()->on_multicast_data(data, from);
   }
   const bool forwarding = gs.forwarding_until >= simulator().now();
   if (forwarding && packet.ttl > 1) {

@@ -6,7 +6,7 @@
 // refresh floods (the trade-off the AG paper discusses in section 2).
 //
 // Derives from AodvRouter for unicast routing (cached gossip and gossip
-// replies need it) and implements gossip::RoutingAdapter so Anonymous
+// replies need it) and completes gossip::RoutingAdapter so Anonymous
 // Gossip layers over the mesh exactly as it does over the MAODV tree —
 // the generalization the paper's section 5.5 proposes. The "tree
 // neighbors" exposed to the walk are the live mesh peers (neighbors known
@@ -15,11 +15,8 @@
 #define AG_ODMRP_ODMRP_ROUTER_H
 
 #include <cstdint>
-#include <deque>
 
 #include "aodv/aodv_router.h"
-#include "gossip/routing_adapter.h"
-#include "harness/multicast_router.h"
 #include "net/data.h"
 #include "net/dense_map.h"
 #include "net/node_table.h"
@@ -28,14 +25,12 @@
 
 namespace ag::odmrp {
 
-class OdmrpRouter final : public aodv::AodvRouter, public harness::MulticastRouter {
+class OdmrpRouter final : public aodv::AodvRouter {
  public:
-  OdmrpRouter(sim::Simulator& sim, mac::CsmaMac& mac, net::NodeId self,
-              aodv::AodvParams aodv_params, OdmrpParams odmrp_params, sim::Rng rng);
+  OdmrpRouter(sim::Simulator& sim, mac::CsmaMac& mac, net::NodeId self, sim::Rng rng);
 
   void start() override;
   void reset() override;
-  void set_observer(gossip::RouterObserver* observer) override;
 
   void join_group(net::GroupId group) override;
   void leave_group(net::GroupId group) override;
@@ -64,8 +59,7 @@ class OdmrpRouter final : public aodv::AodvRouter, public harness::MulticastRout
     totals.data_forwarded += ocounters_.data_forwarded;
   }
 
-  // --- gossip::RoutingAdapter ---
-  [[nodiscard]] net::NodeId self() const override { return AodvRouter::self(); }
+  // --- gossip::RoutingAdapter (the multicast half) ---
   [[nodiscard]] bool is_member(net::GroupId group) const override {
     return members_.contains(group);
   }
@@ -75,14 +69,6 @@ class OdmrpRouter final : public aodv::AodvRouter, public harness::MulticastRout
   [[nodiscard]] std::vector<net::NodeId> tree_neighbors(net::GroupId group) const override {
     return mesh_neighbors(group);
   }
-  void unicast(net::NodeId dest, net::Payload payload) override;
-  void send_to_neighbor(net::NodeId neighbor, net::Payload payload) override {
-    AodvRouter::send_to_neighbor(neighbor, std::move(payload));
-  }
-  void route_hint(net::NodeId dest, net::NodeId via_neighbor, std::uint8_t hops) override {
-    AodvRouter::route_hint(dest, via_neighbor, hops);
-  }
-  [[nodiscard]] std::uint8_t route_hops(net::NodeId dest) const override;
 
  protected:
   void handle_multicast_packet(const net::Packet& packet, net::NodeId from) override;
@@ -114,15 +100,11 @@ class OdmrpRouter final : public aodv::AodvRouter, public harness::MulticastRout
   void refresh_tick();
   void note_mesh_peer(net::GroupId group, GroupState& gs, net::NodeId peer);
   void expire_soft_state(net::GroupId group, GroupState& gs);
-  bool remember_data(const net::MsgId& id);
   GroupState& state_for(net::GroupId group);
 
-  OdmrpParams oparams_;
-  gossip::RouterObserver* observer_{nullptr};
   net::IdSet<net::GroupId> members_;
   net::NodeTable<GroupState, net::GroupId> groups_;
-  net::DenseSet seen_data_;
-  std::deque<net::MsgId> seen_data_order_;
+  net::DedupWindow seen_data_;
   // Flood dedup for queries: (group, source) -> freshest query_seq.
   net::DenseMap<std::uint32_t> query_seen_;
   sim::PeriodicTimer refresh_timer_;

@@ -2,23 +2,20 @@
 #ifndef AG_ODMRP_PARAMS_H
 #define AG_ODMRP_PARAMS_H
 
-#include <cstddef>
+#include <cstdint>
 
 #include "sim/time.h"
 
 namespace ag::odmrp {
 
-struct OdmrpParams {
-  // Join Query refresh while a source is active.
-  sim::Duration refresh_interval{sim::Duration::ms(3000)};
-  // Forwarding-group membership lifetime (the classic 3x refresh).
-  sim::Duration fg_timeout{sim::Duration::ms(9000)};
-  // A source keeps querying this long after its last data packet.
-  sim::Duration source_linger{sim::Duration::ms(6000)};
-  std::uint8_t query_ttl{32};
-  std::uint8_t data_ttl{32};
-  std::size_t data_dedup_capacity{8192};
-};
+// Join Query refresh while a source is active.
+inline constexpr sim::Duration kRefreshInterval = sim::Duration::ms(3000);
+// Forwarding-group membership lifetime (the classic 3x refresh).
+inline constexpr sim::Duration kFgTimeout = sim::Duration::ms(9000);
+// A source keeps querying this long after its last data packet.
+inline constexpr sim::Duration kSourceLinger = sim::Duration::ms(6000);
+inline constexpr std::uint8_t kQueryTtl = 32;
+inline constexpr std::uint8_t kDataTtl = 32;
 
 }  // namespace ag::odmrp
 

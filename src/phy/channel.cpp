@@ -39,8 +39,8 @@ sim::Duration Channel::airtime_of(const mac::Frame& frame) const {
   std::int64_t& us = airtime_us_by_bytes_[bytes];
   if (us < 0) {
     const double payload_us =
-        static_cast<double>(bytes) * 8.0 * 1e6 / params_.bitrate_bps;
-    us = static_cast<std::int64_t>(params_.phy_overhead_us + payload_us);
+        static_cast<double>(bytes) * 8.0 * 1e6 / kBitrateBps;
+    us = static_cast<std::int64_t>(kPhyOverheadUs + payload_us);
   }
   return sim::Duration::us(us);
 }
@@ -108,7 +108,7 @@ void Channel::transmit(std::size_t sender, const mac::Frame& frame) {
     if (drop_hook_ && drop_hook_(sender, i)) return;
     const double d = std::sqrt(d_sq);  // true distance: propagation delay
     const auto prop_us =
-        static_cast<std::int64_t>(d / params_.propagation_mps * 1e6) + 1;
+        static_cast<std::int64_t>(d / kPropagationMps * 1e6) + 1;
     ++deliveries_;
     pending_.emplace_back(prop_us, static_cast<std::uint32_t>(i));
   };

@@ -14,15 +14,16 @@ namespace ag::phy {
 class Channel;
 class PhyEngine;
 
+inline constexpr double kBitrateBps = 2e6;
+// PLCP preamble + header at 1 Mbps, 802.11 DSSS long preamble.
+inline constexpr double kPhyOverheadUs = 192.0;
+inline constexpr double kPropagationMps = 3e8;
+
 struct PhyParams {
   // Builds the radio state engine a Channel runs (see phy/phy_engine.h).
   using EngineFactory = std::unique_ptr<PhyEngine> (*)(sim::Simulator& sim, Channel& channel);
 
   double transmission_range_m{75.0};
-  double bitrate_bps{2e6};
-  // PLCP preamble + header at 1 Mbps, 802.11 DSSS long preamble.
-  double phy_overhead_us{192.0};
-  double propagation_mps{3e8};
   // Receiver lookup via the grid spatial index (see phy/spatial_index.h).
   // Off falls back to the brute-force O(n) scan — delivery decisions are
   // bit-identical either way; the spatial index's tests use the scan as

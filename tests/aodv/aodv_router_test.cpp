@@ -73,7 +73,7 @@ TEST(AodvRouter, DiscoveryToNonexistentNodeFailsAfterRetries) {
   net.run_for(15.0);
   EXPECT_EQ(net.router(0).counters().discovery_failures, 1u);
   EXPECT_GE(net.router(0).counters().rreq_originated,
-            1u + net.router(0).params().rreq_retries);
+            1u + kRreqRetries);
   EXPECT_GT(net.router(0).counters().no_route_drops, 0u);
 }
 

@@ -20,7 +20,7 @@ class FloodFixture {
  public:
   explicit FloodFixture(std::vector<mobility::Vec2> positions, double range = 100.0)
       : mobility_{std::move(positions)},
-        channel_{sim_, mobility_, phy::PhyParams{range, 2e6, 192.0, 3e8}} {
+        channel_{sim_, mobility_, phy::PhyParams{range}} {
     for (std::size_t i = 0; i < mobility_.node_count(); ++i) {
       radios_.push_back(std::make_unique<phy::Radio>(channel_, i));
       macs_.push_back(std::make_unique<mac::CsmaMac>(
@@ -79,11 +79,20 @@ TEST(FloodRouter, TtlBoundsPropagation) {
   FloodFixture f{line};
   f.routers_[0]->join_group(kG);
   f.routers_[5]->join_group(kG);
-  // data_ttl = 3: packet dies after 2 rebroadcast hops, node 5 unreachable.
-  auto limited = std::make_unique<FloodRouter>(*f.macs_[0], net::NodeId{0}, 3);
-  limited->join_group(kG);
-  limited->send_multicast(kG, 64);
+  // Sent with TTL 3: the packet dies after 2 rebroadcast hops, so node 5
+  // is unreachable.
+  net::MulticastData data;
+  data.group = kG;
+  data.origin = net::NodeId{0};
+  net::Packet pkt;
+  pkt.src = net::NodeId{0};
+  pkt.dst = net::NodeId::broadcast();
+  pkt.ttl = 3;
+  pkt.payload = data;
+  f.macs_[0]->send(net::NodeId::broadcast(), std::move(pkt));
   f.sim_.run_until(f.sim_.now() + sim::Duration::seconds(2));
+  EXPECT_EQ(f.routers_[2]->counters().rebroadcasts, 1u);
+  EXPECT_EQ(f.routers_[3]->counters().rebroadcasts, 0u);
   EXPECT_EQ(f.agents_[5]->counters().delivered_unique, 0u);
 }
 

@@ -2,10 +2,12 @@
 
 #include <cstdio>
 
+#include "aodv/params.h"
 #include "harness/experiment.h"
 #include "harness/figure.h"
 #include "harness/network.h"
 #include "harness/scenario.h"
+#include "maodv/params.h"
 
 namespace ag::harness {
 namespace {
@@ -17,15 +19,15 @@ TEST(Scenario, PaperDefaults) {
   EXPECT_DOUBLE_EQ(c.waypoint.area_width_m, 200.0);
   EXPECT_DOUBLE_EQ(c.waypoint.max_pause_s, 80.0);
   EXPECT_EQ(c.workload.packet_count(), 2201u);
-  EXPECT_DOUBLE_EQ(c.phy.bitrate_bps, 2e6);
-  EXPECT_EQ(c.aodv.hello_interval, sim::Duration::ms(600));
-  EXPECT_EQ(c.aodv.allowed_hello_loss, 4u);
-  EXPECT_EQ(c.maodv.group_hello_interval, sim::Duration::ms(5000));
+  EXPECT_DOUBLE_EQ(phy::kBitrateBps, 2e6);
+  EXPECT_EQ(aodv::kHelloInterval, sim::Duration::ms(600));
+  EXPECT_EQ(aodv::kAllowedHelloLoss, 4u);
+  EXPECT_EQ(maodv::kGroupHelloInterval, sim::Duration::ms(5000));
   EXPECT_EQ(c.gossip.round_interval, sim::Duration::ms(1000));
-  EXPECT_EQ(c.gossip.max_lost_in_message, 10u);
-  EXPECT_EQ(c.gossip.member_cache_size, 10u);
-  EXPECT_EQ(c.gossip.lost_table_capacity, 200u);
-  EXPECT_EQ(c.gossip.history_capacity, 100u);
+  EXPECT_EQ(gossip::kMaxLostInMessage, 10u);
+  EXPECT_EQ(gossip::kMemberCacheSize, 10u);
+  EXPECT_EQ(gossip::kLostTableCapacity, 200u);
+  EXPECT_EQ(gossip::kHistoryCapacity, 100u);
 }
 
 TEST(Scenario, WithersChainAndApply) {

@@ -17,6 +17,8 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <unistd.h>
 
@@ -319,6 +321,16 @@ TEST(ShardCli, ParsesDecimalShardFlags) {
   EXPECT_EQ(supervisor.concurrency, 4u);
 }
 
+// `text` as a death-test regex matching it literally.
+std::string regex_quoted(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    if (std::strchr(".^$|()[]{}*+?\\", c) != nullptr) out += '\\';
+    out += c;
+  }
+  return out;
+}
+
 TEST(ShardCliDeathTest, RejectsMalformedShardNumbers) {
   // Bare strtoul would run "--shard=abc" as shard 0, ask "--shards=-1"
   // for 4294967295 workers, make "--shard-attempt=-3" attempt 4294967293
@@ -328,12 +340,44 @@ TEST(ShardCliDeathTest, RejectsMalformedShardNumbers) {
         "--shard=4294967296", "--shard=99999999999999999999", "--shards=-1",
         "--shards=abc", "--shards=0", "--shards=4097", "--shard-attempt=-3",
         "--shard-attempt=0", "--shard-attempt=abc"}) {
-    std::string named = "bad \"";  // the message names the argument verbatim
-    for (const char* c = bad; *c != '\0'; ++c) {
-      if (std::strchr(".^$|()[]{}*+?\\", *c) != nullptr) named += '\\';
-      named += *c;
-    }
-    EXPECT_EXIT(parse_shard_args({bad}), ::testing::ExitedWithCode(2), named + "\"") << bad;
+    // The message names the argument verbatim.
+    EXPECT_EXIT(parse_shard_args({bad}), ::testing::ExitedWithCode(2),
+                "bad \"" + regex_quoted(bad) + "\"")
+        << bad;
+  }
+}
+
+std::vector<std::size_t> parse_nodes_arg(std::string arg) {
+  std::vector<char*> argv{const_cast<char*>("scale"), arg.data()};
+  return bench::nodes_from_cli(static_cast<int>(argv.size()), argv.data(), {40});
+}
+
+TEST(NodesCli, ParsesCountLists) {
+  EXPECT_EQ(parse_nodes_arg("--nodes=250,500"), (std::vector<std::size_t>{250, 500}));
+  EXPECT_EQ(parse_nodes_arg("--nodes=2,1000000"), (std::vector<std::size_t>{2, 1000000}));
+  EXPECT_EQ(parse_nodes_arg("--protocols=maodv"), std::vector<std::size_t>{40});
+}
+
+TEST(NodesCliDeathTest, RejectsMalformedCounts) {
+  EXPECT_EXIT(parse_nodes_arg("--nodes="), ::testing::ExitedWithCode(2), "--nodes= is empty");
+  // Each bad count is named, together with the whole flag.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--nodes=250,,500", ""},
+      {"--nodes=250,", ""},
+      {"--nodes=0", "0"},
+      {"--nodes=-5", "-5"},
+      {"--nodes=+5", "+5"},
+      {"--nodes= 5", " 5"},
+      {"--nodes=abc", "abc"},
+      {"--nodes=250,5x,500", "5x"},
+      {"--nodes=1000001", "1000001"},
+      {"--nodes=99999999999999999999", "99999999999999999999"},
+  };
+  for (const auto& [bad, token] : cases) {
+    EXPECT_EXIT(parse_nodes_arg(bad), ::testing::ExitedWithCode(2),
+                "bad --nodes= count \"" + regex_quoted(token) + "\" in \"" +
+                    regex_quoted(bad) + "\"")
+        << bad;
   }
 }
 

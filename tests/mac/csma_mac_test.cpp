@@ -43,7 +43,7 @@ class MacFixture {
   explicit MacFixture(std::vector<mobility::Vec2> positions, double range = 100.0,
                       MacParams params = {})
       : mobility_{std::move(positions)},
-        channel_{sim_, mobility_, phy::PhyParams{range, 2e6, 192.0, 3e8}} {
+        channel_{sim_, mobility_, phy::PhyParams{range}} {
     for (std::size_t i = 0; i < mobility_.node_count(); ++i) {
       radios_.push_back(std::make_unique<phy::Radio>(channel_, i));
       macs_.push_back(std::make_unique<CsmaMac>(
@@ -96,7 +96,7 @@ TEST(CsmaMac, UnicastToUnreachableNodeFailsAfterRetries) {
   ASSERT_EQ(f.listeners_[0]->failed.size(), 1u);
   EXPECT_EQ(f.listeners_[0]->failed[0].from, net::NodeId{1});  // next hop
   EXPECT_EQ(f.macs_[0]->counters().unicast_failed, 1u);
-  EXPECT_EQ(f.macs_[0]->counters().retries, MacParams{}.retry_limit);
+  EXPECT_EQ(f.macs_[0]->counters().retries, kRetryLimit);
 }
 
 TEST(CsmaMac, QueueDrainsInOrder) {
@@ -115,7 +115,7 @@ TEST(CsmaMac, QueueDrainsInOrder) {
 
 TEST(CsmaMac, QueueOverflowDropsTail) {
   MacFixture f{{{0, 0}, {500, 0}}};  // unreachable: queue cannot drain fast
-  const std::size_t limit = MacParams{}.queue_limit;
+  const std::size_t limit = kQueueLimit;
   for (std::size_t i = 0; i < limit + 10; ++i) {
     f.macs_[0]->send(net::NodeId{1}, hello_packet(0));
   }
@@ -271,10 +271,8 @@ TEST(CsmaMac, AckArrivingAtTimeoutDeadlineBeatsTheTimer) {
   const Frame data{FrameKind::data, net::NodeId{0}, net::NodeId{1}, 0,
                    net::PacketPool::local().make(hello_packet(0))};
   const Frame ack{FrameKind::ack, net::NodeId{1}, net::NodeId{0}, 0, {}};
-  const MacParams params{};
-  const sim::SimTime deadline = f.sim_.now() + f.channel_.airtime_of(data) +
-                                params.sifs + f.channel_.airtime_of(ack) +
-                                params.slot * 3;
+  const sim::SimTime deadline = f.sim_.now() + f.channel_.airtime_of(data) + kSifs +
+                                f.channel_.airtime_of(ack) + kSlot * 3;
   // Scheduled now — before the MAC arms the timeout at tx completion —
   // so at the shared deadline this event pops first.
   f.sim_.schedule_at(deadline, [&f, ack] { f.macs_[0]->on_frame_received(ack); });
@@ -302,10 +300,8 @@ TEST(CsmaMac, StaleAckJustAfterTimeoutIsIgnoredAndRetryProceeds) {
   const Frame data{FrameKind::data, net::NodeId{0}, net::NodeId{1}, 0,
                    net::PacketPool::local().make(hello_packet(0))};
   const Frame ack{FrameKind::ack, net::NodeId{1}, net::NodeId{0}, 0, {}};
-  const MacParams params{};
   const sim::SimTime tx_end = f.sim_.now() + f.channel_.airtime_of(data);
-  const sim::SimTime deadline =
-      tx_end + params.sifs + f.channel_.airtime_of(ack) + params.slot * 3;
+  const sim::SimTime deadline = tx_end + kSifs + f.channel_.airtime_of(ack) + kSlot * 3;
   // Run past tx completion so the MAC has armed the ACK timeout, then
   // schedule the stale ACK at the very same deadline (larger seq ⇒ the
   // timeout pops first).

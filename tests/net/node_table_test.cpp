@@ -2,7 +2,7 @@
 // and DenseMap/DenseSet (open addressing), checked against a std::map
 // model over seeded random operation sequences — results, size,
 // ascending iteration and one probe count per operation — plus the
-// packet pool's slab reuse.
+// dedup window's eviction order and the packet pool's slab reuse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -177,6 +177,18 @@ TEST(DenseSet, MsgIdKeysRoundTrip) {
   EXPECT_FALSE(s.contains(msg_key(b)));
   EXPECT_TRUE(s.erase(msg_key(a)));
   EXPECT_TRUE(s.empty());
+}
+
+TEST(DedupWindow, ForgetsTheOldestIdPastCapacity) {
+  DedupWindow w;
+  for (std::uint32_t seq = 0; seq <= DedupWindow::kCapacity; ++seq) {
+    EXPECT_TRUE(w.insert(MsgId{NodeId{1}, seq}));
+  }
+  EXPECT_FALSE(w.insert(MsgId{NodeId{1}, 1}));
+  EXPECT_TRUE(w.insert(MsgId{NodeId{1}, 0}));  // evicted, so new again
+  EXPECT_TRUE(w.insert(MsgId{NodeId{1}, 1}));  // evicted by that insert
+  w.clear();
+  EXPECT_TRUE(w.insert(MsgId{NodeId{1}, 5}));
 }
 
 TEST(PacketPool, ReusesSlabsAndCountsHits) {

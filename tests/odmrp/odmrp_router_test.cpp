@@ -32,7 +32,7 @@ class OdmrpNetwork {
                         double range = 100.0, std::uint64_t seed = 5)
       : sim_{seed},
         mobility_{std::move(positions)},
-        channel_{sim_, mobility_, phy::PhyParams{range, 2e6, 192.0, 3e8}} {
+        channel_{sim_, mobility_, phy::PhyParams{range}} {
     gossip::GossipParams gp;
     gp.enabled = gossip_on;
     gp.p_anon = 1.0;  // walks only: exercises the mesh adapter
@@ -43,9 +43,8 @@ class OdmrpNetwork {
       n->mac = std::make_unique<mac::CsmaMac>(sim_, *n->radio, channel_, id,
                                               mac::MacParams{},
                                               sim_.rng().stream("mac", i));
-      n->router = std::make_unique<OdmrpRouter>(sim_, *n->mac, id, aodv::AodvParams{},
-                                                OdmrpParams{},
-                                                sim_.rng().stream("aodv", i));
+      n->router =
+          std::make_unique<OdmrpRouter>(sim_, *n->mac, id, sim_.rng().stream("aodv", i));
       n->agent = std::make_unique<gossip::GossipAgent>(sim_, *n->router, gp,
                                                        sim_.rng().stream("gossip", i));
       n->router->set_observer(n->agent.get());

@@ -208,7 +208,7 @@ TraceRun run_trace(bool batched) {
 
   sim::Simulator sim;
   mobility::StaticMobility mobility{std::move(positions)};
-  PhyParams params{100.0, 2e6, 192.0, 3e8};
+  PhyParams params{100.0};
   if (!batched) params.engine = &reference::per_receiver_phy;
   Channel channel{sim, mobility, params};
   std::vector<std::unique_ptr<Radio>> radios;

@@ -43,8 +43,7 @@ class PhyFixture {
                       bool batched = true)
       : mobility_{std::move(positions)},
         channel_{sim_, mobility_,
-                 PhyParams{range, 2e6, 192.0, 3e8, true,
-                           batched ? nullptr : &reference::per_receiver_phy}} {
+                 PhyParams{range, true, batched ? nullptr : &reference::per_receiver_phy}} {
     for (std::size_t i = 0; i < mobility_.node_count(); ++i) {
       radios_.push_back(std::make_unique<Radio>(channel_, i));
       listeners_.push_back(std::make_unique<RecordingListener>());

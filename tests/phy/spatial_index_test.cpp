@@ -169,8 +169,7 @@ struct IndexedFixture {
   explicit IndexedFixture(std::vector<mobility::Vec2> positions, double range,
                           bool use_index)
       : mobility{std::move(positions)},
-        channel{sim, mobility,
-                PhyParams{range, 2e6, 192.0, 3e8, use_index}} {
+        channel{sim, mobility, PhyParams{range, use_index}} {
     for (std::size_t i = 0; i < mobility.node_count(); ++i) {
       radios.push_back(std::make_unique<Radio>(channel, i));
       listeners.push_back(std::make_unique<CountingListener>());

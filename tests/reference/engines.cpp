@@ -145,16 +145,15 @@ class PerReceiverPhy final : public phy::PhyEngine {
 
 class PerSlotCountdown final : public mac::Countdown {
  public:
-  PerSlotCountdown(sim::Simulator& sim, const mac::MacParams& params,
-                   std::function<void()> done)
-      : Countdown{sim, params, std::move(done)} {}
+  PerSlotCountdown(sim::Simulator& sim, std::function<void()> done)
+      : Countdown{sim, std::move(done)} {}
 
   bool resume(sim::Duration idle) override {
-    difs_done_ = idle >= difs_;
+    difs_done_ = idle >= mac::kDifs;
     if (!difs_done_) {
-      timer_.restart(difs_ - idle, sim::EventCategory::mac_difs);
+      timer_.restart(mac::kDifs - idle, sim::EventCategory::mac_difs);
     } else if (slots_ > 0) {
-      timer_.restart(slot_, sim::EventCategory::mac_slot);
+      timer_.restart(mac::kSlot, sim::EventCategory::mac_slot);
     }
     return difs_done_ && slots_ == 0;
   }
@@ -171,7 +170,7 @@ class PerSlotCountdown final : public mac::Countdown {
     if (slots_ == 0) {
       done_();
     } else {
-      timer_.restart(slot_, sim::EventCategory::mac_slot);
+      timer_.restart(mac::kSlot, sim::EventCategory::mac_slot);
     }
   }
 
@@ -185,10 +184,9 @@ std::unique_ptr<phy::PhyEngine> per_receiver_phy(sim::Simulator& sim, phy::Chann
 }
 
 std::unique_ptr<mac::Countdown> per_slot_countdown(sim::Simulator& sim,
-                                                   const mac::MacParams& params,
                                                    sim::Duration /*max_propagation*/,
                                                    std::function<void()> done) {
-  return std::make_unique<PerSlotCountdown>(sim, params, std::move(done));
+  return std::make_unique<PerSlotCountdown>(sim, std::move(done));
 }
 
 }  // namespace ag::reference

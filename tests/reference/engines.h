@@ -24,8 +24,7 @@ namespace ag::reference {
 // Per-slot contention: a mac_difs event for DIFS deference, then one
 // mac_slot event per backoff slot. The oracle for mac::FusedCountdown.
 [[nodiscard]] std::unique_ptr<mac::Countdown> per_slot_countdown(
-    sim::Simulator& sim, const mac::MacParams& params, sim::Duration max_propagation,
-    std::function<void()> done);
+    sim::Simulator& sim, sim::Duration max_propagation, std::function<void()> done);
 
 [[nodiscard]] inline harness::ScenarioConfig with_reference_phy(harness::ScenarioConfig c) {
   c.phy.engine = &per_receiver_phy;

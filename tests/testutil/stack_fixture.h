@@ -30,9 +30,6 @@ struct StackOptions {
   harness::Protocol protocol{harness::Protocol::maodv_gossip};
   bool gossip_enabled{true};
   gossip::GossipParams gossip{};
-  aodv::AodvParams aodv{};
-  maodv::MaodvParams maodv{};
-  odmrp::OdmrpParams odmrp{};
 };
 
 class StaticNetwork {
@@ -40,14 +37,11 @@ class StaticNetwork {
   StaticNetwork(std::vector<mobility::Vec2> positions, StackOptions options = {})
       : sim_{options.seed},
         mobility_{std::move(positions)},
-        channel_{sim_, mobility_, phy::PhyParams{options.range_m, 2e6, 192.0, 3e8}} {
+        channel_{sim_, mobility_, phy::PhyParams{options.range_m}} {
     const harness::ProtocolEntry& entry =
         harness::ProtocolRegistry::instance().entry(options.protocol);
     config_.protocol = options.protocol;
     config_.seed = options.seed;
-    config_.aodv = options.aodv;
-    config_.maodv = options.maodv;
-    config_.odmrp = options.odmrp;
     config_.gossip = options.gossip;
     config_.gossip.enabled = options.gossip_enabled && entry.gossip_capable;
     const std::size_t n = mobility_.node_count();
