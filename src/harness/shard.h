@@ -4,12 +4,13 @@
 // One shard = one (protocol, x, seed) cell of an ExperimentBuilder grid.
 // A worker subprocess runs its cell and writes `shard_<index>.json`
 // atomically (temp file + rename, see atomic_io.h), so any shard file
-// that exists is complete: resume scans the shard directory, re-parses
-// each file (a parse failure is treated as "not done" and re-run), and
-// only missing or failed cells execute again.
+// that exists is complete: resume scans the shard directory, re-reads
+// each file (a file that fails to read is treated as "not done" and
+// re-run), and only missing or failed cells execute again.
 //
-// The serialization walks the run-record schema (stats/run_schema.h) and
-// round-trips every stats::RunResult field exactly — u64 counters as
+// The layout is stated once in shard.cpp, walking the run-record schema
+// (stats/run_schema.h); the writer and a strict reader both follow it.
+// It round-trips every stats::RunResult field exactly — u64 counters as
 // decimal text, doubles at 17 significant digits (the shortest form
 // guaranteed to reproduce the same IEEE double) — so a merged sharded run
 // aggregates bit-identically to the in-process serial run and the BENCH
@@ -32,19 +33,23 @@ namespace ag::harness {
 [[nodiscard]] std::string shard_file_name(std::size_t index);
 
 // Writes one completed cell as a self-describing JSON checkpoint
-// (atomically). `experiment` and `index` are embedded and verified on
-// read, so a stale file from a different sweep can never be merged.
+// (atomically). Its header records `experiment`, `index` and `cell`,
+// and the reader checks all three, so a stale file from a different
+// sweep or cell can never be merged.
 [[nodiscard]] bool write_shard_json(const std::string& path,
                                     const std::string& experiment,
                                     std::size_t index, const CellId& cell,
                                     const stats::RunResult& result);
 
-// Parses a shard checkpoint back into the RunResult it recorded.
-// Returns nullopt — with a human-readable reason in *error when non-null
-// — on any IO/syntax/shape problem or an experiment/index mismatch.
+// Reads a shard checkpoint back into the RunResult it recorded. Returns
+// nullopt — with a human-readable reason in *error when non-null — on an
+// IO problem, on any byte outside a number literal that the writer would
+// not have put there, on a number outside the checkpoint rule, or when
+// the header is not the one write_shard_json gives `experiment`, `index`
+// and `cell`.
 [[nodiscard]] std::optional<stats::RunResult> read_shard_json(
     const std::string& path, const std::string& experiment, std::size_t index,
-    std::string* error = nullptr);
+    const CellId& cell, std::string* error = nullptr);
 
 // --- deterministic fault injection (AG_SHARD_FAULT) -----------------------
 //

@@ -36,22 +36,6 @@ constexpr std::uint32_t kDefaultMaxAttempts = 3;
 constexpr std::uint32_t kDefaultBackoffMs = 250;
 constexpr std::uint32_t kBackoffCapMs = 30'000;
 
-std::string json_escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 // Append-only journal of shard lifecycle events: one JSON object per
 // line, flushed per event, so a killed supervisor leaves an accurate
 // history for --resume (and for the tests asserting recovery paths).
@@ -204,7 +188,8 @@ ShardRunReport run_shards(const ExperimentBuilder& builder,
     const std::string path = opts.shard_dir + "/" + shard_file_name(i);
     if (opts.resume || opts.merge_only) {
       std::string error;
-      std::optional<stats::RunResult> prior = read_shard_json(path, experiment, i, &error);
+      std::optional<stats::RunResult> prior =
+          read_shard_json(path, experiment, i, builder.cell_id(i), &error);
       if (prior.has_value()) {
         report.results[i] = std::move(prior);
         ++report.reused;
@@ -215,7 +200,8 @@ ShardRunReport run_shards(const ExperimentBuilder& builder,
         record_failure(i, 0, "missing or unreadable checkpoint (merge-only): " + error);
         continue;
       }
-      // Unreadable/torn checkpoint on resume: treat as not done.
+      // Unreadable/torn checkpoint, or one of another cell, on resume:
+      // treat as not done.
       std::error_code remove_ec;
       fs::remove(path, remove_ec);
     }
@@ -287,8 +273,8 @@ ShardRunReport run_shards(const ExperimentBuilder& builder,
         reason = "timeout after " + std::to_string(opts.timeout_s) + " s";
       } else if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
         std::string parse_error;
-        std::optional<stats::RunResult> result =
-            read_shard_json(path, experiment, worker.index, &parse_error);
+        std::optional<stats::RunResult> result = read_shard_json(
+            path, experiment, worker.index, builder.cell_id(worker.index), &parse_error);
         if (result.has_value()) {
           report.results[worker.index] = std::move(result);
           ++completed;

@@ -220,8 +220,8 @@ TEST(RunRecordGolden, CheckpointBytes) {
   run.faults.partitioned_s = 0.3;
 
   const std::string path = temp_path("shard_7.json");
-  ASSERT_TRUE(harness::write_shard_json(path, "golden", 7,
-                                        harness::CellId{"maodv_gossip", 62.5, 3}, run));
+  const harness::CellId cell{"maodv_gossip", 62.5, 3};
+  ASSERT_TRUE(harness::write_shard_json(path, "golden", 7, cell, run));
   const std::string json = read_file(path);
   EXPECT_EQ(json, R"json({
 "format": 2,
@@ -244,12 +244,11 @@ TEST(RunRecordGolden, CheckpointBytes) {
   // The golden file reads back into the same record.
   std::string error;
   const std::optional<stats::RunResult> reread =
-      harness::read_shard_json(path, "golden", 7, &error);
+      harness::read_shard_json(path, "golden", 7, cell, &error);
   fs::remove(path);
   ASSERT_TRUE(reread.has_value()) << error;
   const std::string again = temp_path("shard_7_again.json");
-  ASSERT_TRUE(harness::write_shard_json(again, "golden", 7,
-                                        harness::CellId{"maodv_gossip", 62.5, 3}, *reread));
+  ASSERT_TRUE(harness::write_shard_json(again, "golden", 7, cell, *reread));
   EXPECT_EQ(read_file(again), json);
   fs::remove(again);
 }

@@ -127,7 +127,7 @@ TEST_F(ShardDriverTest, CheckpointRoundTripIsExact) {
                                         builder.cell_id(0), original));
   std::string error;
   const std::optional<stats::RunResult> reread =
-      harness::read_shard_json(path, builder.experiment_name(), 0, &error);
+      harness::read_shard_json(path, builder.experiment_name(), 0, builder.cell_id(0), &error);
   ASSERT_TRUE(reread.has_value()) << error;
 
   // Exactness check without an operator==: re-serialize and byte-compare.
@@ -139,26 +139,39 @@ TEST_F(ShardDriverTest, CheckpointRoundTripIsExact) {
 
 TEST_F(ShardDriverTest, CheckpointRejectsMismatchAndCorruption) {
   const harness::ExperimentBuilder builder = tests::make_probe_builder();
-  const stats::RunResult result = builder.run_cell(0);
+  const harness::CellId cell = builder.cell_id(0);
   const std::string path = path_in("shard_0.json");
-  ASSERT_TRUE(harness::write_shard_json(path, builder.experiment_name(), 0,
-                                        builder.cell_id(0), result));
+  ASSERT_TRUE(harness::write_shard_json(path, builder.experiment_name(), 0, cell,
+                                        builder.run_cell(0)));
 
   std::string error;
-  EXPECT_FALSE(harness::read_shard_json(path, builder.experiment_name(), 1, &error)
+  EXPECT_FALSE(harness::read_shard_json(path, builder.experiment_name(), 1, cell, &error)
                    .has_value());
-  EXPECT_FALSE(harness::read_shard_json(path, "other_experiment", 0, &error)
+  EXPECT_FALSE(harness::read_shard_json(path, "other_experiment", 0, cell, &error)
                    .has_value());
   EXPECT_FALSE(harness::read_shard_json(path_in("absent.json"),
-                                        builder.experiment_name(), 0, &error)
+                                        builder.experiment_name(), 0, cell, &error)
                    .has_value());
+  // A header records its cell: a file of another protocol, x or seed is
+  // not this cell's result.
+  harness::CellId other_protocol = cell;
+  other_protocol.protocol = "maodv";
+  harness::CellId other_x = cell;
+  other_x.x = 80.0;
+  harness::CellId other_seed = cell;
+  other_seed.seed = 2;
+  for (const harness::CellId& other : {other_protocol, other_x, other_seed}) {
+    EXPECT_FALSE(harness::read_shard_json(path, builder.experiment_name(), 0, other, &error)
+                     .has_value())
+        << other.protocol << " x " << other.x << " seed " << other.seed;
+  }
 
   // Truncate mid-file: must read as corrupt, not as a zeroed result.
   const std::string whole = read_file(path);
   std::ofstream torn{path, std::ios::trunc | std::ios::binary};
   torn << whole.substr(0, whole.size() / 2);
   torn.close();
-  EXPECT_FALSE(harness::read_shard_json(path, builder.experiment_name(), 0, &error)
+  EXPECT_FALSE(harness::read_shard_json(path, builder.experiment_name(), 0, cell, &error)
                    .has_value());
   EXPECT_FALSE(error.empty());
 }
@@ -189,7 +202,7 @@ TEST_F(ShardDriverTest, CheckpointRejectsSignsOverflowDuplicatesAndInfinity) {
       {"crashes", "-1", "bad u64 in crashes"},
       {"packets_sent", "4294967396", "u32 out of range in packets_sent"},
       {"node", "4294967303", "u32 out of range in node"},
-      {"sessions", "1, \"sessions\": 2", "duplicate key \"sessions\""},
+      {"sessions", "1, \"sessions\": 2", "found '\"sessions\""},
       {"node_down_s", "1e999", "bad double in node_down_s"},
   };
   for (const Case& c : cases) {
@@ -197,8 +210,9 @@ TEST_F(ShardDriverTest, CheckpointRejectsSignsOverflowDuplicatesAndInfinity) {
     ASSERT_NE(bad, good) << c.key;
     std::ofstream{path, std::ios::trunc | std::ios::binary} << bad;
     std::string error;
-    EXPECT_FALSE(harness::read_shard_json(path, builder.experiment_name(), 0, &error)
-                     .has_value())
+    EXPECT_FALSE(
+        harness::read_shard_json(path, builder.experiment_name(), 0, builder.cell_id(0), &error)
+            .has_value())
         << c.key << ": " << c.bad_value;
     EXPECT_NE(error.find(c.error), std::string::npos) << c.key << ": " << error;
   }
@@ -216,7 +230,8 @@ TEST_F(ShardDriverTest, CheckpointParserSurvivesMutations) {
   const std::string good = read_file(path);
   const auto accepts = [&](const std::string& text) {
     std::ofstream{path, std::ios::trunc | std::ios::binary} << text;
-    return harness::read_shard_json(path, builder.experiment_name(), 0).has_value();
+    return harness::read_shard_json(path, builder.experiment_name(), 0, builder.cell_id(0))
+        .has_value();
   };
   ASSERT_TRUE(accepts(good));
 
@@ -238,6 +253,27 @@ TEST_F(ShardDriverTest, CheckpointParserSurvivesMutations) {
     ++duplicated;
   }
   EXPECT_GT(duplicated, 60u);
+
+  // Layouts a JSON tree parser takes but the writer never prints.
+  const auto pair_of = [&good](const std::string& key) {
+    const std::size_t at = good.find("\"" + key + "\": ");
+    return good.substr(at, good.find_first_of(",}\n", at) - at);
+  };
+  const auto replaced = [&good](const std::string& from, const std::string& to) {
+    std::string text = good;
+    return text.replace(text.find(from), from.size(), to);
+  };
+  const std::string crashes = pair_of("crashes");
+  const std::string reboots = pair_of("reboots");
+  const std::pair<const char*, std::string> layouts[] = {
+      {"swapped keys", replaced(crashes + ", " + reboots, reboots + ", " + crashes)},
+      {"unknown key", replaced("\"totals\": {", "\"totals\": {\"bogus\": 1, ")},
+      {"space after a colon", replaced("\"crashes\": ", "\"crashes\":  ")},
+  };
+  for (const auto& [what, text] : layouts) {
+    ASSERT_NE(text, good) << what;
+    EXPECT_FALSE(accepts(text)) << what;
+  }
 
   std::mt19937_64 rng{20261017};
   for (int i = 0; i < 4000; ++i) {
@@ -292,8 +328,9 @@ TEST_F(ShardDriverTest, FaultGrammarParsesAndRejects) {
   fault = harness::shard_fault_from_env();
   EXPECT_EQ(fault.mode, harness::ShardFault::Mode::corrupt);
 
-  for (const char* bad : {"", "crash", "crash@", "crash@x2", "melt@1",
-                          "crash@1x", "crash@1x0", "crash@-1", "crash@1y2"}) {
+  for (const char* bad : {"", "crash", "crash@", "crash@x2", "melt@1", "crash@1x",
+                          "crash@1x0", "crash@-1", "crash@1y2", "crash@18446744073709551616",
+                          "crash@1x4294967296", "crash@+1", "crash@ 1", "crash@1x+2"}) {
     ::setenv("AG_SHARD_FAULT", bad, 1);
     EXPECT_EQ(harness::shard_fault_from_env().mode,
               harness::ShardFault::Mode::none)
@@ -484,6 +521,28 @@ TEST_F(ShardDriverTest, MergeOnlyDegradesMissingCells) {
   EXPECT_EQ(report.launched, 0u);
   EXPECT_EQ(report.reused, 0u);
   EXPECT_EQ(report.sharding.failed.size(), 4u);
+}
+
+// The checkpoints of the 2-seed probe sweep, merged into a 3-seed one:
+// cells 0 and 1 keep their x and seed and are reused, shards 2 and 3 now
+// belong to other cells and fail as the missing 4 and 5 do.
+TEST_F(ShardDriverTest, MergeReusesOnlyCheckpointsOfTheSameCell) {
+  const harness::ExperimentBuilder two_seeds = tests::make_probe_builder();
+  harness::ShardDriverOptions opts = probe_options();
+  fs::create_directories(opts.shard_dir);
+  for (std::size_t i = 0; i < two_seeds.cell_count(); ++i) {
+    ASSERT_TRUE(harness::write_shard_json(opts.shard_dir + "/" + harness::shard_file_name(i),
+                                          two_seeds.experiment_name(), i, two_seeds.cell_id(i),
+                                          two_seeds.run_cell(i)));
+  }
+  opts.merge_only = true;
+  const harness::ExperimentBuilder three_seeds = tests::make_probe_builder().seeds(3);
+  const harness::ShardRunReport report = run_shards(three_seeds, opts);
+  EXPECT_EQ(report.launched, 0u);
+  EXPECT_EQ(report.reused, 2u);
+  EXPECT_EQ(report.sharding.failed.size(), 4u);
+  EXPECT_TRUE(report.results[0].has_value());
+  EXPECT_TRUE(report.results[1].has_value());
 }
 
 TEST_F(ShardDriverTest, FreshRunClearsStaleCheckpoints) {
