@@ -123,7 +123,7 @@ std::size_t ExperimentBuilder::cell_count() const {
   return resolved_protocols().size() * values_.size() * resolved_seeds();
 }
 
-ScenarioConfig ExperimentBuilder::cell_config(std::size_t index) const {
+ExperimentBuilder::Cell ExperimentBuilder::cell(std::size_t index) const {
   const std::vector<Protocol> protocols = resolved_protocols();
   const std::uint32_t seeds = resolved_seeds();
   const std::size_t per_protocol = values_.size() * seeds;
@@ -133,34 +133,22 @@ ScenarioConfig ExperimentBuilder::cell_config(std::size_t index) const {
                             std::to_string(protocols.size() * per_protocol) +
                             " cells)");
   }
-  const std::size_t p = index / per_protocol;
-  const std::size_t v = (index % per_protocol) / seeds;
-  const auto s = static_cast<std::uint32_t>(index % seeds) + 1;
-  ScenarioConfig c = base_;
-  apply_(c, values_[v]);
-  c.with_protocol(protocols[p]);
-  c.with_seed(s);
-  return c;
+  return {protocols[index / per_protocol], values_[(index % per_protocol) / seeds],
+          static_cast<std::uint32_t>(index % seeds) + 1};
 }
 
 CellId ExperimentBuilder::cell_id(std::size_t index) const {
-  const std::vector<Protocol> protocols = resolved_protocols();
-  const std::uint32_t seeds = resolved_seeds();
-  const std::size_t per_protocol = values_.size() * seeds;
-  if (index >= protocols.size() * per_protocol) {
-    throw std::out_of_range("ExperimentBuilder: cell index " +
-                            std::to_string(index) + " out of range");
-  }
-  CellId id;
-  id.protocol =
-      ProtocolRegistry::instance().name_of(protocols[index / per_protocol]);
-  id.x = values_[(index % per_protocol) / seeds];
-  id.seed = static_cast<std::uint32_t>(index % seeds) + 1;
-  return id;
+  const Cell at = cell(index);
+  return {ProtocolRegistry::instance().name_of(at.protocol), at.x, at.seed};
 }
 
 stats::RunResult ExperimentBuilder::run_cell(std::size_t index) const {
-  return run_scenario(cell_config(index));
+  const Cell at = cell(index);
+  ScenarioConfig c = base_;
+  apply_(c, at.x);
+  c.with_protocol(at.protocol);
+  c.with_seed(at.seed);
+  return run_scenario(c);
 }
 
 ExperimentResult ExperimentBuilder::assemble(

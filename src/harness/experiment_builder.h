@@ -114,9 +114,10 @@ class ExperimentBuilder {
   // Cells are indexed in the slot order run() aggregates in, so a merged
   // sharded run reproduces the serial result bit for bit.
   [[nodiscard]] std::size_t cell_count() const;
+  // cell_id and run_cell throw std::out_of_range on a bad index.
   [[nodiscard]] CellId cell_id(std::size_t index) const;
   // Runs exactly one cell in-process (the worker half of the sharded
-  // driver). Throws std::out_of_range on a bad index.
+  // driver).
   [[nodiscard]] stats::RunResult run_cell(std::size_t index) const;
   // Folds per-cell results (indexed by cell, holes = failed shards whose
   // seeds are dropped from their point's aggregate) into the result
@@ -134,7 +135,14 @@ class ExperimentBuilder {
  private:
   [[nodiscard]] std::vector<Protocol> resolved_protocols() const;
   [[nodiscard]] std::uint32_t resolved_seeds() const;
-  [[nodiscard]] ScenarioConfig cell_config(std::size_t index) const;
+  struct Cell {
+    Protocol protocol{};
+    double x{0.0};
+    std::uint32_t seed{0};
+  };
+  // Cell `index` of the grid as protocol, swept value and seed; throws
+  // std::out_of_range, naming the grid size, on a bad index.
+  [[nodiscard]] Cell cell(std::size_t index) const;
 
   std::string param_;
   std::vector<double> values_;
