@@ -7,6 +7,11 @@
 
 int main(int argc, char** argv) {
   using namespace ag;
+  bench::handle_help_flag(
+      argc, argv,
+      "Ablation (section 4.3): anonymous vs cached gossip mix at 55 m, 0.2 m/s.",
+      "  p_anon = {0, 0.25, 0.5, 0.75, 1} (share of anonymous walks)",
+      /*extra_flags=*/nullptr, /*sharded=*/false);
   const std::uint32_t seeds = harness::seeds_from_env(2);
   const std::vector<harness::Protocol> protocols = bench::protocols_from_cli(
       argc, argv, {harness::Protocol::maodv_gossip});

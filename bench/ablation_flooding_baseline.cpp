@@ -9,6 +9,12 @@
 
 int main(int argc, char** argv) {
   using namespace ag;
+  bench::handle_help_flag(
+      argc, argv,
+      "Ablation (section 6): delivery and transmissions per delivered packet\n"
+      "of MAODV, MAODV+AG and blind flooding at 55 m, 0.2 m/s.",
+      "  protocol = {maodv, maodv_gossip, flooding}",
+      /*extra_flags=*/nullptr, /*sharded=*/false);
   const std::uint32_t seeds = harness::seeds_from_env(2);
   const std::vector<harness::Protocol> protocols = bench::protocols_from_cli(
       argc, argv, {harness::Protocol::maodv, harness::Protocol::maodv_gossip,

@@ -8,6 +8,12 @@
 
 int main(int argc, char** argv) {
   using namespace ag;
+  bench::handle_help_flag(
+      argc, argv,
+      "Ablation (section 5.5): gossip round interval at 55 m, 0.2 m/s;\n"
+      "writes BENCH_ablation_gossip_rate.json.",
+      "  gossip_interval_ms = {4000, 2000, 1000, 500, 250}",
+      /*extra_flags=*/nullptr, /*sharded=*/false);
   harness::install_interrupt_handlers();
   const std::uint32_t seeds = harness::seeds_from_env(2);
 

@@ -7,6 +7,12 @@
 
 int main(int argc, char** argv) {
   using namespace ag;
+  bench::handle_help_flag(
+      argc, argv,
+      "Ablation (section 4.2): nearest-member locality bias vs uniform random\n"
+      "walks at 0.2 m/s.",
+      "  range_m = {45, 55, 75} x walk bias {gradient, uniform}",
+      /*extra_flags=*/nullptr, /*sharded=*/false);
   const std::uint32_t seeds = harness::seeds_from_env(2);
   const std::vector<harness::Protocol> protocols = bench::protocols_from_cli(
       argc, argv, {harness::Protocol::maodv_gossip});

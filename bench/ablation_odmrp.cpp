@@ -8,6 +8,12 @@
 
 int main(int argc, char** argv) {
   using namespace ag;
+  bench::handle_help_flag(
+      argc, argv,
+      "Extension (section 5.5): Anonymous Gossip over the ODMRP mesh vs over\n"
+      "the MAODV tree, against both bare protocols, at 55 m, 1 m/s.",
+      "  protocol = {maodv, maodv_gossip, odmrp, odmrp_gossip}",
+      /*extra_flags=*/nullptr, /*sharded=*/false);
   const std::uint32_t seeds = harness::seeds_from_env(2);
   const std::vector<harness::Protocol> protocols = bench::protocols_from_cli(
       argc, argv, {harness::Protocol::maodv, harness::Protocol::maodv_gossip,

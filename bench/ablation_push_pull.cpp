@@ -9,6 +9,12 @@
 
 int main(int argc, char** argv) {
   using namespace ag;
+  bench::handle_help_flag(
+      argc, argv,
+      "Ablation (section 4.4): pull vs push vs push-pull gossip exchange at\n"
+      "55 m, 0.2 m/s.",
+      "  exchange mode = {pull, push, push_pull}",
+      /*extra_flags=*/nullptr, /*sharded=*/false);
   const std::uint32_t seeds = harness::seeds_from_env(2);
   const std::vector<harness::Protocol> protocols = bench::protocols_from_cli(
       argc, argv, {harness::Protocol::maodv_gossip});

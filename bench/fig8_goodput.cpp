@@ -3,6 +3,7 @@
 // maximum speeds. The paper reports 97-100 % everywhere — nearly every
 // gossip reply carried a useful (non-redundant) message.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "figure_common.h"
@@ -30,8 +31,7 @@ int main(int argc, char** argv) {
   std::printf("%-14s | per-member goodput (%%)                          | mean\n",
               "range,speed");
 
-  FILE* csv = std::fopen("fig8.csv", "w");
-  if (csv != nullptr) std::fprintf(csv, "protocol,range,speed,member,goodput_pct\n");
+  std::string csv = "protocol,range,speed,member,goodput_pct\n";
 
   for (harness::Protocol protocol : protocols) {
     const std::string& pname = harness::ProtocolRegistry::instance().name_of(protocol);
@@ -56,17 +56,19 @@ int main(int argc, char** argv) {
         const double g = sums[i] / seeds;
         total += g;
         std::printf(" %5.1f", g);
-        if (csv != nullptr) {
-          std::fprintf(csv, "%s,%g,%g,%zu,%f\n", pname.c_str(), cfg.range, cfg.speed,
-                       i + 1, g);
-        }
+        char row[96];
+        std::snprintf(row, sizeof row, ",%g,%g,%zu,%f\n", cfg.range, cfg.speed, i + 1, g);
+        csv += pname + row;
       }
       std::printf(" | %5.1f\n",
                   sums.empty() ? 100.0 : total / static_cast<double>(sums.size()));
       std::fflush(stdout);
     }
   }
-  if (csv != nullptr) std::fclose(csv);
+  if (!harness::write_file_atomic("fig8.csv", [&csv](std::ostream& out) { out << csv; })) {
+    std::fprintf(stderr, "error: failed to write fig8.csv\n");
+    return 1;
+  }
   std::printf("(csv written to fig8.csv)\n\n");
   return 0;
 }
