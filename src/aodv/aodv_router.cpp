@@ -29,15 +29,6 @@ void AodvRouter::start() {
   sweep_timer_.start(kHelloInterval, &rng_, kHelloInterval / 8);
 }
 
-void AodvRouter::set_observer(gossip::RouterObserver* observer) {
-  observer_ = observer;
-  if (observer_ != nullptr) {
-    set_local_deliver([this](const net::Packet& pkt, net::NodeId from) {
-      observer_->on_gossip_packet(pkt, from);
-    });
-  }
-}
-
 void AodvRouter::reset_unicast_state() {
   hello_timer_.stop();
   sweep_timer_.stop();
@@ -51,7 +42,7 @@ void AodvRouter::reset_unicast_state() {
 
 void AodvRouter::send_unicast(net::Packet pkt) {
   if (pkt.dst == self_) {
-    if (local_deliver_) local_deliver_(pkt, self_);
+    if (observer_ != nullptr) observer_->on_gossip_packet(pkt, self_);
     return;
   }
   const sim::SimTime now = sim_.now();
@@ -167,7 +158,6 @@ void AodvRouter::discovery_timeout(net::NodeId dest) {
   ++counters_.discovery_failures;
   counters_.no_route_drops += pending->buffered.size();
   discoveries_.erase(dest);
-  on_route_discovery_failed(dest);
 }
 
 void AodvRouter::flush_buffered(net::NodeId dest) {
@@ -199,20 +189,22 @@ void AodvRouter::on_packet_received(const net::Packet& packet, net::NodeId from)
           [&](const odmrp::JoinReplyMsg&) { handle_multicast_packet(packet, from); },
           [&](const gossip::GossipMsg&) {
             if (packet.dst == self_) {
-              if (local_deliver_) local_deliver_(packet, from);
+              if (observer_ != nullptr) observer_->on_gossip_packet(packet, from);
             } else {
               forward_unicast(packet, from);
             }
           },
           [&](const gossip::GossipReplyMsg&) {
             if (packet.dst == self_) {
-              if (local_deliver_) local_deliver_(packet, from);
+              if (observer_ != nullptr) observer_->on_gossip_packet(packet, from);
             } else {
               forward_unicast(packet, from);
             }
           },
           [&](const gossip::NearestMemberMsg&) {
-            if (packet.dst == self_ && local_deliver_) local_deliver_(packet, from);
+            if (packet.dst == self_ && observer_ != nullptr) {
+              observer_->on_gossip_packet(packet, from);
+            }
           },
           [&](const dtn::CustodyHandoffMsg&) {
             // One-hop custody handoffs are consumed by the CustodyRouter
@@ -233,7 +225,6 @@ void AodvRouter::forward_unicast(net::Packet pkt, net::NodeId from) {
   }
   if (RouteEntry* route = routes_.find_valid(pkt.dst, now)) {
     routes_.refresh(pkt.dst, now + kActiveRouteTimeout);
-    ++counters_.unicast_forwarded;
     mac_.send(route->next_hop, std::move(pkt));
     return;
   }
@@ -285,7 +276,6 @@ void AodvRouter::process_rreq(const net::Packet& pkt, const RreqMsg& rreq, net::
   if (!answered && pkt.ttl > 1) {
     RreqMsg fwd = rreq;
     fwd.hop_count++;
-    ++counters_.rreq_forwarded;
     broadcast_jittered(fwd, static_cast<std::uint8_t>(pkt.ttl - 1));
   }
 }
@@ -324,7 +314,6 @@ void AodvRouter::send_rrep(net::NodeId to_neighbor, const RrepMsg& rrep) {
   pkt.dst = to_neighbor;  // hop-by-hop; each hop re-addresses toward origin
   pkt.ttl = kNetTtl;
   pkt.payload = rrep;
-  ++counters_.rrep_sent;
   mac_.send(to_neighbor, std::move(pkt));
 }
 
@@ -354,7 +343,6 @@ void AodvRouter::process_rrep(const net::Packet&, const RrepMsg& rrep, net::Node
   if (back == nullptr) return;  // reverse route expired; RREP dies here
   RrepMsg fwd = rrep;
   fwd.hop_count++;
-  ++counters_.rrep_forwarded;
   net::Packet pkt;
   pkt.src = self_;
   pkt.dst = back->next_hop;
@@ -394,7 +382,6 @@ void AodvRouter::note_neighbor_alive(net::NodeId neighbor) {
 }
 
 void AodvRouter::on_unicast_failed(const net::Packet&, net::NodeId next_hop) {
-  ++counters_.link_breaks;
   ++counters_.link_breaks_mac;
   neighbors_.remove(next_hop);
   handle_link_failure(next_hop);
@@ -409,14 +396,12 @@ void AodvRouter::handle_link_failure(net::NodeId neighbor) {
 
 void AodvRouter::send_hello() {
   HelloMsg hello{self_, own_seq_};
-  ++counters_.hello_sent;
   broadcast_packet(hello, 1);
 }
 
 void AodvRouter::sweep_neighbors() {
   const sim::SimTime cutoff = sim_.now() - kNeighborLifetime;
   for (net::NodeId lost : neighbors_.sweep_expired(cutoff)) {
-    ++counters_.link_breaks;
     ++counters_.link_breaks_hello;
     handle_link_failure(lost);
   }

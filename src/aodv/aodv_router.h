@@ -10,9 +10,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <utility>
 
 #include "aodv/messages.h"
 #include "aodv/neighbor_table.h"
@@ -36,9 +34,9 @@ class AodvRouter : public mac::MacListener, public harness::MulticastRouter {
   // Begins hello beaconing and neighbor sweeping. Call once after wiring.
   void start() override;
 
-  // Wires the gossip layer (or any observer); also routes gossip-layer
-  // unicast payloads delivered to this node into the observer.
-  void set_observer(gossip::RouterObserver* observer) override;
+  // Wires the gossip layer (or any observer). Gossip-layer unicast
+  // payloads delivered to this node go to the observer's on_gossip_packet.
+  void set_observer(gossip::RouterObserver* observer) override { observer_ = observer; }
 
   [[nodiscard]] RouteTable& route_table() { return routes_; }
   [[nodiscard]] NeighborTable& neighbors() { return neighbors_; }
@@ -59,22 +57,11 @@ class AodvRouter : public mac::MacListener, public harness::MulticastRouter {
   void route_hint(net::NodeId dest, net::NodeId via_neighbor, std::uint8_t hops) override;
   [[nodiscard]] std::uint8_t route_hops(net::NodeId dest) const override;
 
-  // Delivery of non-AODV unicast payloads addressed to this node
-  // (gossip messages and replies, nearest-member updates).
-  using LocalDeliver = std::function<void(const net::Packet&, net::NodeId from)>;
-  void set_local_deliver(LocalDeliver deliver) { local_deliver_ = std::move(deliver); }
-
   struct Counters {
     std::uint64_t rreq_originated{0};
-    std::uint64_t rreq_forwarded{0};
-    std::uint64_t rrep_sent{0};
-    std::uint64_t rrep_forwarded{0};
     std::uint64_t rerr_sent{0};
-    std::uint64_t hello_sent{0};
-    std::uint64_t unicast_forwarded{0};
     std::uint64_t no_route_drops{0};
     std::uint64_t discovery_failures{0};
-    std::uint64_t link_breaks{0};
     std::uint64_t link_breaks_mac{0};    // unicast retry exhaustion
     std::uint64_t link_breaks_hello{0};  // hello timeout
   };
@@ -98,7 +85,6 @@ class AodvRouter : public mac::MacListener, public harness::MulticastRouter {
   // MACT / GRPH / MulticastData and anything else the base does not know.
   virtual void handle_multicast_packet(const net::Packet&, net::NodeId /*from*/) {}
   virtual void on_neighbor_lost(net::NodeId /*neighbor*/) {}
-  virtual void on_route_discovery_failed(net::NodeId /*dest*/) {}
 
   // --- services shared with the derived router ---
   void broadcast_packet(net::Payload payload, std::uint8_t ttl);
@@ -108,7 +94,6 @@ class AodvRouter : public mac::MacListener, public harness::MulticastRouter {
                           sim::Duration max_jitter = sim::Duration::ms(10));
   void unicast_to_neighbor(net::NodeId neighbor, net::Packet pkt);
   net::SeqNo bump_own_seq() { return own_seq_ = own_seq_.next(); }
-  [[nodiscard]] net::SeqNo own_seq() const { return own_seq_; }
   std::uint32_t next_rreq_id() { return rreq_id_++; }
   // Starts (or joins) a discovery for dest. MAODV reuses this for nothing;
   // unicast send paths call it internally.
@@ -123,7 +108,6 @@ class AodvRouter : public mac::MacListener, public harness::MulticastRouter {
   [[nodiscard]] const sim::Simulator& simulator() const { return sim_; }
   [[nodiscard]] sim::Rng& rng() { return rng_; }
   [[nodiscard]] gossip::RouterObserver* observer() const { return observer_; }
-  Counters& mutable_counters() { return counters_; }
 
  private:
   struct PendingDiscovery {
@@ -156,7 +140,6 @@ class AodvRouter : public mac::MacListener, public harness::MulticastRouter {
   std::uint32_t rreq_id_{1};
   net::DenseMap<sim::SimTime> rreq_cache_;  // (origin,id) -> expiry
   net::NodeTable<PendingDiscovery> discoveries_;
-  LocalDeliver local_deliver_;
   sim::PeriodicTimer hello_timer_;
   sim::PeriodicTimer sweep_timer_;
   Counters counters_;

@@ -56,10 +56,7 @@ class MulticastSink {
   // layer's dedup tables; a tracking sink therefore keeps its own).
   void on_deliver(const net::MulticastData& data, bool via_gossip) {
     if (tracking_) {
-      if (!subscribed_ || !subscribed_at(data.sent_at)) {
-        ++out_of_subscription_;
-        return;
-      }
+      if (!subscribed_ || !subscribed_at(data.sent_at)) return;
       if (!seen_.insert(net::msg_key(net::MsgId{data.origin, data.seq}))) {
         return;  // re-delivered after a state wipe; already credited
       }
@@ -80,8 +77,6 @@ class MulticastSink {
 
   [[nodiscard]] std::uint64_t received() const { return received_; }
   [[nodiscard]] std::uint64_t via_gossip() const { return via_gossip_; }
-  // Deliveries refused because the member was not subscribed (tracking only).
-  [[nodiscard]] std::uint64_t out_of_subscription() const { return out_of_subscription_; }
   [[nodiscard]] bool tracking() const { return tracking_; }
   [[nodiscard]] bool subscribed() const { return !tracking_ || subscribed_; }
   // An untracked sink counts as ever-subscribed (legacy accounting).
@@ -101,7 +96,6 @@ class MulticastSink {
   net::DenseSet seen_;  // populated only while tracking
   std::uint64_t received_{0};
   std::uint64_t via_gossip_{0};
-  std::uint64_t out_of_subscription_{0};
   double latency_sum_s_{0.0};
   double latency_max_s_{0.0};
 };

@@ -17,26 +17,21 @@ std::uint32_t scaled_budget(std::uint32_t budget, bool gateway) {
 CustodyRouter::CustodyRouter(sim::Simulator& sim, mac::CsmaMac& mac,
                              std::unique_ptr<harness::MulticastRouter> inner,
                              const CustodyParams& params, bool gateway)
-    : sim_{sim},
+    : RouterDecorator{mac, std::move(inner)},
+      sim_{sim},
       mac_{mac},
-      inner_{std::move(inner)},
-      inner_listener_{dynamic_cast<mac::MacListener*>(inner_.get())},
       gateway_{gateway},
       store_{scaled_budget(params.max_messages, gateway), scaled_budget(kMaxBytes, gateway),
-             kCustodyTtl} {
-  // The inner router registered itself with the MAC in its constructor;
-  // interpose so custody handoffs never reach it.
-  mac_.set_listener(this);
-}
+             kCustodyTtl} {}
 
 std::uint32_t CustodyRouter::send_multicast(net::GroupId group,
                                             std::uint16_t payload_bytes) {
-  const std::uint32_t seq = inner_->send_multicast(group, payload_bytes);
+  const std::uint32_t seq = RouterDecorator::send_multicast(group, payload_bytes);
   // The origin seeds its own custody: if the network is partitioned right
   // now, the payload still reaches the far side on a later contact.
   net::MulticastData d;
   d.group = group;
-  d.origin = inner_->self();
+  d.origin = self();
   d.seq = seq;
   d.payload_bytes = payload_bytes;
   d.sent_at = sim_.now();
@@ -52,13 +47,13 @@ void CustodyRouter::on_multicast_data(const net::MulticastData& data,
   // unchanged (the gossip agent stays the router's logical observer).
   seen_.insert(net::msg_key(net::MsgId{data.origin, data.seq}));
   store_.store(data, sim_.now());
-  if (observer_ != nullptr) observer_->on_multicast_data(data, from);
+  RouterDecorator::on_multicast_data(data, from);
 }
 
 void CustodyRouter::on_packet_received(const net::Packet& packet, net::NodeId from) {
   const auto* handoff = packet.get_if<CustodyHandoffMsg>();
   if (handoff == nullptr) {
-    if (inner_listener_ != nullptr) inner_listener_->on_packet_received(packet, from);
+    RouterDecorator::on_packet_received(packet, from);
     return;
   }
   const net::MulticastData& d = handoff->data;
@@ -73,9 +68,7 @@ void CustodyRouter::on_packet_received(const net::Packet& packet, net::NodeId fr
   // Deliver up when we are a member. The gossip agent and (under faults)
   // the sink's MsgId set both deduplicate, so a re-offer after a reboot
   // can never double-count.
-  if (observer_ != nullptr && inner_->is_member(d.group)) {
-    observer_->on_multicast_data(d, from);
-  }
+  if (is_member(d.group)) RouterDecorator::on_multicast_data(d, from);
 }
 
 void CustodyRouter::on_unicast_failed(const net::Packet& packet,
@@ -86,16 +79,16 @@ void CustodyRouter::on_unicast_failed(const net::Packet& packet,
     ++counters_.offers_failed;
     return;
   }
-  if (inner_listener_ != nullptr) inner_listener_->on_unicast_failed(packet, next_hop);
+  RouterDecorator::on_unicast_failed(packet, next_hop);
 }
 
 void CustodyRouter::offer_to(net::NodeId peer) {
-  if (peer == inner_->self()) return;
+  if (peer == self()) return;
   offer_scratch_.clear();
   store_.collect_oldest(sim_.now(), kOfferBatch, offer_scratch_);
   for (const net::MulticastData& d : offer_scratch_) {
     net::Packet pkt;
-    pkt.src = inner_->self();
+    pkt.src = self();
     pkt.dst = peer;
     pkt.ttl = 1;  // handoffs are strictly one-hop; relaying is a new offer
     pkt.payload = CustodyHandoffMsg{d, static_cast<std::uint8_t>(gateway_ ? 1 : 0)};
@@ -116,7 +109,7 @@ void CustodyRouter::add_totals(stats::NetworkTotals& totals) const {
   totals.custody_offers_failed += counters_.offers_failed;
   totals.custody_accepted += counters_.accepted_fresh;
   totals.custody_duplicates += counters_.accepted_duplicate;
-  inner_->add_totals(totals);
+  RouterDecorator::add_totals(totals);
 }
 
 }  // namespace ag::dtn

@@ -14,26 +14,21 @@ AdversaryRouter::AdversaryRouter(sim::Simulator& sim, mac::CsmaMac& mac,
                                  std::unique_ptr<harness::MulticastRouter> inner,
                                  Role role, const TrustParams& trust,
                                  bool expect_all_relays, sim::Rng drop_rng)
-    : sim_{sim},
-      mac_{mac},
-      inner_{std::move(inner)},
-      inner_listener_{dynamic_cast<mac::MacListener*>(inner_.get())},
+    : RouterDecorator{mac, std::move(inner)},
+      sim_{sim},
       role_{role},
       trust_{trust},
       monitor_{trust.enabled && !role.adversarial},
       watchdog_{trust.enabled && trust.watchdog && !role.adversarial &&
                 expect_all_relays},
       drop_rng_{std::move(drop_rng)} {
-  // The inner router's constructor registered itself with the MAC;
-  // re-register so every frame flows through the decorator first.
-  mac_.set_listener(this);
   // The promiscuous tap costs one branch per frame network-wide, so it is
   // registered only where the forwarding watchdog can actually use it.
-  if (watchdog_) mac_.set_sniffer(this);
+  if (watchdog_) mac.set_sniffer(this);
 }
 
 void AdversaryRouter::reset() {
-  inner_->reset();
+  RouterDecorator::reset();
   // A power-cycle forgets who it distrusted: trust is volatile state,
   // unlike the custody store or the data-plane sequence counters.
   trust_table_.clear();
@@ -48,12 +43,6 @@ void AdversaryRouter::reset() {
 bool AdversaryRouter::is_isolated(net::NodeId neighbor) const {
   const NeighborTrust* t = trust_table_.find(neighbor);
   return t != nullptr && t->isolated;
-}
-
-AdversaryRouter::TrustSnapshot AdversaryRouter::trust_of(net::NodeId neighbor) const {
-  const NeighborTrust* t = trust_table_.find(neighbor);
-  if (t == nullptr) return {};
-  return {true, t->isolated, t->expected, t->observed, t->junk, t->useful};
 }
 
 // --- adversarial behaviors -------------------------------------------------
@@ -86,10 +75,7 @@ bool AdversaryRouter::absorbs(const net::Packet& packet) {
       if (drop_decided_.insert(key) && drop_rng_.bernoulli(role_.drop_fraction)) {
         drop_absorbed_.insert(key);
       }
-      if (!drop_absorbed_.contains(key)) {
-        ++counters_.data_passed;
-        return false;
-      }
+      if (!drop_absorbed_.contains(key)) return false;
       break;
     }
     case AdversaryMode::gossip_poison:
@@ -108,7 +94,8 @@ void AdversaryRouter::poison(const gossip::GossipMsg& msg, net::NodeId from) {
   }
   // Look interested: install the reverse-path hint exactly like an honest
   // acceptor would, so the junk reply can route back to the initiator.
-  inner_->route_hint(msg.initiator, from, std::max<std::uint8_t>(msg.hops_walked, 1));
+  RouterDecorator::route_hint(msg.initiator, from,
+                             std::max<std::uint8_t>(msg.hops_walked, 1));
   for (const gossip::SenderExpectation& exp : msg.expected) {
     // Fabricate a message the initiator already holds: a seq below its
     // expectation that is NOT in the lost buffer. A seq from the lost
@@ -134,7 +121,7 @@ void AdversaryRouter::poison(const gossip::GossipMsg& msg, net::NodeId from) {
       junk.data.payload_bytes = 64;
       junk.data.sent_at = sim_.now();
       junk.data.hops = 0;
-      inner_->unicast(msg.initiator, net::Payload{std::move(junk)});
+      RouterDecorator::unicast(msg.initiator, net::Payload{std::move(junk)});
       ++counters_.poison_replies;
       return;
     }
@@ -237,7 +224,6 @@ void AdversaryRouter::score_reply(const gossip::GossipReplyMsg& reply,
     return;
   }
   t.junk += 1.0;
-  ++counters_.junk_replies_seen;
   if (!t.isolated && t.junk >= kTrustMinJunk &&
       t.junk >= kTrustJunkRatioFloor * (t.junk + t.useful)) {
     isolate(reply.responder, t, now);
@@ -257,7 +243,7 @@ void AdversaryRouter::on_packet_received(const net::Packet& packet, net::NodeId 
     ++counters_.ingress_dropped;
     return;
   }
-  if (inner_listener_ != nullptr) inner_listener_->on_packet_received(packet, from);
+  RouterDecorator::on_packet_received(packet, from);
 }
 
 // --- sniffer seam (watchdog monitors only) ---------------------------------
@@ -285,7 +271,7 @@ void AdversaryRouter::on_multicast_data(const net::MulticastData& data,
   // Everything delivered up is something this node now holds — the
   // baseline the junk-reply classifier compares replies against.
   if (monitor_) seen_.insert(net::msg_key(net::MsgId{data.origin, data.seq}));
-  if (observer_ != nullptr) observer_->on_multicast_data(data, from);
+  RouterDecorator::on_multicast_data(data, from);
 }
 
 void AdversaryRouter::on_member_learned(net::GroupId group, net::NodeId member,
@@ -293,7 +279,7 @@ void AdversaryRouter::on_member_learned(net::GroupId group, net::NodeId member,
   // Keep distrusted nodes out of the member cache: a gossip walk must not
   // be unicast straight to an isolated "member".
   if (monitor_ && is_isolated(member)) return;
-  if (observer_ != nullptr) observer_->on_member_learned(group, member, hops);
+  RouterDecorator::on_member_learned(group, member, hops);
 }
 
 void AdversaryRouter::on_gossip_packet(const net::Packet& packet, net::NodeId from) {
@@ -312,13 +298,13 @@ void AdversaryRouter::on_gossip_packet(const net::Packet& packet, net::NodeId fr
       }
     }
   }
-  if (observer_ != nullptr) observer_->on_gossip_packet(packet, from);
+  RouterDecorator::on_gossip_packet(packet, from);
 }
 
 // --- adapter filtering (gossip peer selection, route replies) --------------
 
 std::vector<net::NodeId> AdversaryRouter::tree_neighbors(net::GroupId group) const {
-  std::vector<net::NodeId> v = inner_->tree_neighbors(group);
+  std::vector<net::NodeId> v = RouterDecorator::tree_neighbors(group);
   if (monitor_ && !isolation_log_.empty()) {
     std::erase_if(v, [this](net::NodeId id) { return is_isolated(id); });
   }
@@ -336,13 +322,13 @@ std::vector<net::NodeId> AdversaryRouter::tree_neighbors(net::GroupId group) con
 void AdversaryRouter::unicast(net::NodeId dest, net::Payload payload) {
   if (monitor_ && is_isolated(dest)) ++counters_.egress_blocked;
   if (monitor_) note_outgoing(payload);
-  inner_->unicast(dest, std::move(payload));
+  RouterDecorator::unicast(dest, std::move(payload));
 }
 
 void AdversaryRouter::send_to_neighbor(net::NodeId neighbor, net::Payload payload) {
   if (monitor_ && is_isolated(neighbor)) ++counters_.egress_blocked;
   if (monitor_) note_outgoing(payload);
-  inner_->send_to_neighbor(neighbor, std::move(payload));
+  RouterDecorator::send_to_neighbor(neighbor, std::move(payload));
 }
 
 // --- accounting ------------------------------------------------------------
@@ -355,7 +341,7 @@ void AdversaryRouter::add_totals(stats::NetworkTotals& totals) const {
       counters_.ingress_dropped + counters_.egress_blocked;
   // Isolation / false-positive / latency stats need the ground-truth role
   // map, so harness::Network::result() computes them from isolation_log().
-  inner_->add_totals(totals);
+  RouterDecorator::add_totals(totals);
 }
 
 }  // namespace ag::faults

@@ -1,6 +1,7 @@
 // Adversarial-node axis as a decorator over any harness::MulticastRouter,
-// interposed at exactly the seams dtn::CustodyRouter uses — the MAC
-// listener and the router observer — so every protocol (and the custody
+// built on harness::RouterDecorator like dtn::CustodyRouter and interposed
+// at the same seams — the MAC listener and the router observer, plus the
+// gossip adapter's peer selection — so every protocol (and the custody
 // tier stacked above it) composes with it untouched, and the phy/MAC hot
 // path never learns adversaries exist.
 //
@@ -79,8 +80,7 @@
 #include <vector>
 
 #include "faults/fault_plan.h"
-#include "gossip/routing_adapter.h"
-#include "harness/multicast_router.h"
+#include "harness/router_decorator.h"
 #include "mac/csma_mac.h"
 #include "net/dense_map.h"
 #include "net/node_table.h"
@@ -90,9 +90,7 @@
 
 namespace ag::faults {
 
-class AdversaryRouter final : public harness::MulticastRouter,
-                              public mac::MacListener,
-                              public gossip::RouterObserver,
+class AdversaryRouter final : public harness::RouterDecorator,
                               public mac::MacSniffer {
  public:
   // This node's assignment on the adversary axis. Honest by default.
@@ -112,63 +110,22 @@ class AdversaryRouter final : public harness::MulticastRouter,
                   std::unique_ptr<harness::MulticastRouter> inner, Role role,
                   const TrustParams& trust, bool expect_all_relays, sim::Rng drop_rng);
 
-  // --- harness::MulticastRouter ---
-  void start() override { inner_->start(); }
   // Trust tables are volatile state: a power-cycle (RebootPolicy::wipe)
   // forgets who it distrusted, unlike the custody store.
   void reset() override;
-  void set_observer(gossip::RouterObserver* observer) override {
-    observer_ = observer;
-    inner_->set_observer(this);
-  }
-  void join_group(net::GroupId group) override { inner_->join_group(group); }
-  void leave_group(net::GroupId group) override { inner_->leave_group(group); }
-  std::uint32_t send_multicast(net::GroupId group,
-                               std::uint16_t payload_bytes) override {
-    return inner_->send_multicast(group, payload_bytes);
-  }
   void add_totals(stats::NetworkTotals& totals) const override;
 
   // --- gossip::RoutingAdapter (isolation filtering, else passthrough) ---
-  [[nodiscard]] net::NodeId self() const override { return inner_->self(); }
-  [[nodiscard]] bool is_member(net::GroupId group) const override {
-    return inner_->is_member(group);
-  }
-  [[nodiscard]] bool on_tree(net::GroupId group) const override {
-    return inner_->on_tree(group);
-  }
   [[nodiscard]] std::vector<net::NodeId> tree_neighbors(
       net::GroupId group) const override;
   void unicast(net::NodeId dest, net::Payload payload) override;
   void send_to_neighbor(net::NodeId neighbor, net::Payload payload) override;
-  void route_hint(net::NodeId dest, net::NodeId via_neighbor,
-                  std::uint8_t hops) override {
-    inner_->route_hint(dest, via_neighbor, hops);
-  }
-  [[nodiscard]] std::uint8_t route_hops(net::NodeId dest) const override {
-    return inner_->route_hops(dest);
-  }
 
   // --- mac::MacListener (absorption / ingress isolation, else passthrough) ---
   void on_packet_received(const net::Packet& packet, net::NodeId from) override;
-  void on_unicast_failed(const net::Packet& packet, net::NodeId next_hop) override {
-    if (inner_listener_ != nullptr) inner_listener_->on_unicast_failed(packet, next_hop);
-  }
 
   // --- gossip::RouterObserver (poison / junk scoring, else passthrough) ---
   void on_multicast_data(const net::MulticastData& data, net::NodeId from) override;
-  void on_tree_neighbor_added(net::GroupId group, net::NodeId neighbor,
-                              std::uint16_t member_distance_hint) override {
-    if (observer_ != nullptr) {
-      observer_->on_tree_neighbor_added(group, neighbor, member_distance_hint);
-    }
-  }
-  void on_tree_neighbor_removed(net::GroupId group, net::NodeId neighbor) override {
-    if (observer_ != nullptr) observer_->on_tree_neighbor_removed(group, neighbor);
-  }
-  void on_self_membership_changed(net::GroupId group, bool member) override {
-    if (observer_ != nullptr) observer_->on_self_membership_changed(group, member);
-  }
   void on_member_learned(net::GroupId group, net::NodeId member,
                          std::uint8_t hops) override;
   void on_gossip_packet(const net::Packet& packet, net::NodeId from) override;
@@ -178,7 +135,6 @@ class AdversaryRouter final : public harness::MulticastRouter,
   void on_frame_transmitted(const mac::Frame& frame) override;
 
   // --- introspection (harness::Network::result(), tests) ---
-  [[nodiscard]] harness::MulticastRouter& inner() { return *inner_; }
   [[nodiscard]] const Role& role() const { return role_; }
   [[nodiscard]] bool monitoring() const { return monitor_; }
   [[nodiscard]] bool is_isolated(net::NodeId neighbor) const;
@@ -193,27 +149,14 @@ class AdversaryRouter final : public harness::MulticastRouter,
     return isolation_log_;
   }
 
-  // Point-in-time view of one neighbor's trust state (tests, debugging).
-  struct TrustSnapshot {
-    bool known{false};
-    bool isolated{false};
-    double expected{0.0};
-    double observed{0.0};
-    double junk{0.0};
-    double useful{0.0};
-  };
-  [[nodiscard]] TrustSnapshot trust_of(net::NodeId neighbor) const;
-
   struct Counters {
     // Adversarial roles.
     std::uint64_t data_absorbed{0};     // relayed payloads swallowed at the MAC seam
-    std::uint64_t data_passed{0};       // selective_forward: payloads let through
     std::uint64_t poison_replies{0};    // fabricated duplicate replies sent
     std::uint64_t poison_swallowed{0};  // gossip requests consumed without a reply
     // Honest monitors.
     std::uint64_t ingress_dropped{0};   // control/replies refused from isolated
     std::uint64_t egress_blocked{0};    // sends toward isolated (counted, not cut)
-    std::uint64_t junk_replies_seen{0};
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
@@ -247,15 +190,11 @@ class AdversaryRouter final : public harness::MulticastRouter,
   [[nodiscard]] bool absorbs(const net::Packet& packet);
 
   sim::Simulator& sim_;
-  mac::CsmaMac& mac_;
-  std::unique_ptr<harness::MulticastRouter> inner_;
-  mac::MacListener* inner_listener_;  // the inner router as a MAC listener
   Role role_;
   TrustParams trust_;
   const bool monitor_;   // honest node with the trust layer enabled
   const bool watchdog_;  // monitor on a relay-everything substrate
   sim::Rng drop_rng_;    // selective_forward draws; untouched otherwise
-  gossip::RouterObserver* observer_{nullptr};
 
   net::NodeTable<NeighborTrust> trust_table_;
   net::DenseSet seen_;           // messages this node holds (junk-reply classifier)

@@ -29,7 +29,6 @@ std::uint32_t FloodRouter::send_multicast(net::GroupId group, std::uint16_t payl
   data.sent_at = mac_.now();
   data.hops = 0;
   seen_.insert(net::MsgId{self_, seq});
-  ++counters_.data_originated;
   if (observer_ != nullptr) observer_->on_multicast_data(data, self_);
   net::Packet pkt;
   pkt.src = self_;
@@ -76,10 +75,7 @@ void FloodRouter::handle_gossip_traffic(const net::Packet& packet, net::NodeId f
   // A reply (or cached-member walk) in transit: relay it one hop along
   // the freshest reverse-path hint.
   const net::NodeId next = next_hop_for(packet.dst);
-  if (!next.is_valid()) {
-    ++counters_.gossip_unroutable;
-    return;
-  }
+  if (!next.is_valid()) return;
   net::Packet fwd = packet;
   fwd.ttl--;
   ++counters_.gossip_relayed;
@@ -117,10 +113,7 @@ std::vector<net::NodeId> FloodRouter::tree_neighbors(net::GroupId) const {
 void FloodRouter::unicast(net::NodeId dest, net::Payload payload) {
   if (!gossip_links_) return;
   const net::NodeId next = next_hop_for(dest);
-  if (!next.is_valid()) {
-    ++counters_.gossip_unroutable;
-    return;
-  }
+  if (!next.is_valid()) return;
   net::Packet pkt;
   pkt.src = self_;
   pkt.dst = dest;

@@ -56,14 +56,11 @@ class FloodRouter final : public mac::MacListener, public harness::MulticastRout
                                std::uint16_t payload_bytes) override;
 
   struct Counters {
-    std::uint64_t data_originated{0};
     std::uint64_t rebroadcasts{0};
     std::uint64_t delivered{0};
     std::uint64_t duplicates{0};
-    // gossip_links only: reply unicasts relayed along reverse-path hints,
-    // and ones dropped because no live hop toward the destination exists.
+    // gossip_links only: reply unicasts relayed along reverse-path hints.
     std::uint64_t gossip_relayed{0};
-    std::uint64_t gossip_unroutable{0};
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 

@@ -1,5 +1,6 @@
 #include "harness/protocol_registry.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -95,7 +96,14 @@ std::vector<Protocol> ProtocolRegistry::parse_list(std::string_view names) const
     const std::size_t comma = names.find(',', start);
     const std::string_view name =
         names.substr(start, comma == std::string_view::npos ? comma : comma - start);
-    if (!name.empty()) out.push_back(parse(name));
+    if (!name.empty()) {
+      const Protocol p = parse(name);
+      if (std::find(out.begin(), out.end(), p) != out.end()) {
+        throw std::invalid_argument("protocol \"" + std::string(name) +
+                                    "\" is listed twice");
+      }
+      out.push_back(p);
+    }
     if (comma == std::string_view::npos) break;
     start = comma + 1;
   }

@@ -63,9 +63,9 @@ class ProtocolRegistry {
   [[nodiscard]] Protocol parse(std::string_view name) const;
   // Parses a comma-separated protocol list ("maodv,flooding"). Empty
   // segments are skipped; an empty result or any unknown name throws
-  // std::invalid_argument listing the registered names — the bench CLIs
-  // (`--protocols=`) fail fast with that message instead of depending on
-  // downstream registry lookups.
+  // std::invalid_argument listing the registered names, and a name listed
+  // twice throws naming it — the bench CLIs (`--protocols=`) fail fast
+  // with that message instead of writing a figure with a repeated series.
   [[nodiscard]] std::vector<Protocol> parse_list(std::string_view names) const;
   [[nodiscard]] const std::string& name_of(Protocol p) const;
   // Core protocols in registration order (non-core entries excluded).

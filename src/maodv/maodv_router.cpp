@@ -84,7 +84,6 @@ void MaodvRouter::start_join(net::GroupId group, bool repair, net::NodeId merge_
     attempt.repair = repair;
     attempt.merge_target = merge_target;
     attempt.best = JoinCandidate{};
-    mcounters_.joins_started += repair ? 0 : 1;
     mcounters_.repairs_started += repair ? 1 : 0;
   }
   ++attempt.attempts;
@@ -512,7 +511,6 @@ void MaodvRouter::process_grph(const net::Packet& packet, const GrphMsg& grph,
   if (packet.ttl > 1) {
     GrphMsg fwd = grph;
     fwd.hop_count++;
-    ++mcounters_.grph_forwarded;
     broadcast_jittered(fwd, static_cast<std::uint8_t>(packet.ttl - 1));
   }
 }
@@ -570,7 +568,6 @@ std::uint32_t MaodvRouter::send_multicast(net::GroupId group, std::uint16_t payl
   data.sent_at = simulator().now();
   data.hops = 0;
   seen_data_.insert(net::MsgId{self(), seq});
-  ++mcounters_.data_originated;
   if (observer() != nullptr) observer()->on_multicast_data(data, self());
   broadcast_packet(data, kDataTtl);
   return seq;
@@ -580,13 +577,9 @@ void MaodvRouter::process_data(const net::Packet& packet, const net::MulticastDa
                                net::NodeId from) {
   GroupEntry* e = mrt_.find(data.group);
   // Tree-scoped forwarding: accept only over an activated tree link.
-  if (e == nullptr || !e->on_tree()) {
-    ++mcounters_.data_rejected_off_tree;
-    return;
-  }
+  if (e == nullptr || !e->on_tree()) return;
   const MulticastNextHop* h = e->find_hop(from);
   if (h == nullptr || !h->enabled) {
-    ++mcounters_.data_rejected_off_tree;
     // The sender may wrongly believe we are its tree neighbor (asymmetric
     // state after a one-sided break). Tell it once a second at most; a
     // consistent sender treats the prune as a no-op.
@@ -598,10 +591,7 @@ void MaodvRouter::process_data(const net::Packet& packet, const net::MulticastDa
     }
     return;
   }
-  if (!seen_data_.insert(net::MsgId{data.origin, data.seq})) {
-    ++mcounters_.data_duplicates;
-    return;
-  }
+  if (!seen_data_.insert(net::MsgId{data.origin, data.seq})) return;
   if (e->is_member) {
     ++mcounters_.data_delivered;
     if (observer() != nullptr) observer()->on_multicast_data(data, from);

@@ -39,7 +39,6 @@ class MaodvRouter : public aodv::AodvRouter {
   }
 
   struct McastCounters {
-    std::uint64_t joins_started{0};
     std::uint64_t joins_completed{0};
     std::uint64_t leaders_elected{0};
     std::uint64_t repairs_started{0};
@@ -47,14 +46,10 @@ class MaodvRouter : public aodv::AodvRouter {
     std::uint64_t partitions{0};
     std::uint64_t merges_initiated{0};
     std::uint64_t grph_sent{0};
-    std::uint64_t grph_forwarded{0};
     std::uint64_t mact_sent{0};
     std::uint64_t prunes_sent{0};
-    std::uint64_t data_originated{0};
     std::uint64_t data_forwarded{0};
     std::uint64_t data_delivered{0};
-    std::uint64_t data_rejected_off_tree{0};
-    std::uint64_t data_duplicates{0};
   };
   [[nodiscard]] const McastCounters& mcast_counters() const { return mcounters_; }
 

@@ -94,7 +94,6 @@ std::uint32_t OdmrpRouter::send_multicast(net::GroupId group, std::uint16_t payl
   data.payload_bytes = payload_bytes;
   data.sent_at = simulator().now();
   seen_data_.insert(net::MsgId{self(), seq});
-  ++ocounters_.data_originated;
   if (gs.member && observer() != nullptr) observer()->on_multicast_data(data, self());
   broadcast_packet(data, kDataTtl);
 
@@ -148,7 +147,6 @@ void OdmrpRouter::process_query(const net::Packet& packet, const JoinQueryMsg& q
   if (packet.ttl > 1) {
     JoinQueryMsg fwd = query;
     fwd.hop_count++;
-    ++ocounters_.queries_forwarded;
     broadcast_jittered(fwd, static_cast<std::uint8_t>(packet.ttl - 1));
   }
 }
@@ -178,9 +176,7 @@ void OdmrpRouter::process_reply(const JoinReplyMsg& reply, net::NodeId from) {
   for (const JoinReplyMsg::Entry& entry : reply.entries) {
     if (entry.next_hop != self()) continue;
     // We are on a member-to-source path: join the forwarding group.
-    const bool was_forwarding = gs.forwarding_until >= simulator().now();
     gs.forwarding_until = simulator().now() + kFgTimeout;
-    if (!was_forwarding) ++ocounters_.fg_activations;
     note_mesh_peer(reply.group, gs, from);
     if (entry.source == self()) continue;  // the chain reached the source
     // Propagate the reply toward the source along our own reverse path.
@@ -213,10 +209,7 @@ void OdmrpRouter::note_mesh_peer(net::GroupId group, GroupState& gs, net::NodeId
 void OdmrpRouter::process_data(const net::Packet& packet, const net::MulticastData& data,
                                net::NodeId from) {
   GroupState& gs = state_for(data.group);
-  if (!seen_data_.insert(net::MsgId{data.origin, data.seq})) {
-    ++ocounters_.data_duplicates;
-    return;
-  }
+  if (!seen_data_.insert(net::MsgId{data.origin, data.seq})) return;
   // The transmitter is the source or a forwarding-group node: mesh peer.
   note_mesh_peer(data.group, gs, from);
   if (gs.member) {

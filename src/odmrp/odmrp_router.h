@@ -42,13 +42,9 @@ class OdmrpRouter final : public aodv::AodvRouter {
 
   struct OdmrpCounters {
     std::uint64_t queries_sent{0};
-    std::uint64_t queries_forwarded{0};
     std::uint64_t replies_sent{0};
-    std::uint64_t fg_activations{0};
-    std::uint64_t data_originated{0};
     std::uint64_t data_forwarded{0};
     std::uint64_t data_delivered{0};
-    std::uint64_t data_duplicates{0};
   };
   [[nodiscard]] const OdmrpCounters& odmrp_counters() const { return ocounters_; }
 

@@ -114,51 +114,22 @@ void BatchedPhy::complete_one(std::size_t node,
   }
 }
 
-std::size_t BatchedPhy::deliver_group(const std::shared_ptr<const mac::Frame>& frame,
-                                      sim::SimTime end,
-                                      const std::vector<std::uint32_t>& rx,
-                                      bool uncontended) {
+void BatchedPhy::deliver_group(const std::shared_ptr<const mac::Frame>& frame,
+                               sim::SimTime end, const std::vector<std::uint32_t>& rx) {
   settle_elided();
   const mac::Frame* key = frame.get();
   std::shared_ptr<std::vector<std::uint32_t>> live = channel_.acquire_rx_buf();
   std::uint64_t elided = 0;
-  if (uncontended) {
-    // Cell-timeline fast path: no receiver has a reception in flight, so
-    // the whole collision branch is provably dead — only the half-duplex
-    // check remains per receiver.
-    for (const std::uint32_t node : rx) {
-      if (channel_.is_node_down(node)) continue;  // crashed before first bit
-      if (transmitting_[node] != 0) {
-        ++counters_[node].frames_missed_while_tx;
-        if (end < busy_until_[node]) {
-          ++elided;
-          continue;
-        }
-        ++rx_count_[node];
-        if (end > busy_until_[node]) busy_until_[node] = end;
-        // Still transmitting: was_busy and busy agree, no callback.
-      } else {
-        ++rx_count_[node];
-        busy_until_[node] = end;  // idle before: stale components are <= now
-        has_clean_[node] = 1;
-        clean_frame_[node] = key;
-        RadioListener* l = listeners_[node];
-        if (l != nullptr) l->on_medium_busy();
-      }
+  for (const std::uint32_t node : rx) {
+    if (channel_.is_node_down(node)) continue;  // crashed before first bit
+    if (arrive(node, key, end)) {
       live->push_back(node);
-    }
-  } else {
-    for (const std::uint32_t node : rx) {
-      if (channel_.is_node_down(node)) continue;  // crashed before first bit
-      if (arrive(node, key, end)) {
-        live->push_back(node);
-      } else {
-        ++elided;
-      }
+    } else {
+      ++elided;
     }
   }
   if (elided > 0) elided_pending_.emplace(end, elided);
-  if (live->empty()) return 0;  // fully elided: the frame needs no event at all
+  if (live->empty()) return;  // fully elided: the frame needs no event at all
   sim_.schedule_at(
       end,
       [this, frame, live] {
@@ -170,7 +141,6 @@ std::size_t BatchedPhy::deliver_group(const std::shared_ptr<const mac::Frame>& f
         for (const std::uint32_t node : *live) complete_one(node, frame);
       },
       sim::EventCategory::phy_delivery);
-  return live->size();
 }
 
 void BatchedPhy::notify_busy(std::size_t node, bool was_busy) {

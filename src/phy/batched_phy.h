@@ -76,15 +76,12 @@ class BatchedPhy final : public PhyEngine {
   void abort_receptions(std::size_t node) override { has_clean_[node] = 0; }
 
   // --- Channel delivery path ---
-  // Processes one frame's receiver group: credits collision counters,
-  // elides strictly-covered doomed receptions, and schedules ONE
-  // completion event for the survivors. When `uncontended`, every
-  // receiver provably has no reception in flight, so the collision
-  // branches are skipped wholesale. Returns the number of tracked (live)
-  // receivers, 0 when fully elided.
-  std::size_t deliver_group(const std::shared_ptr<const mac::Frame>& frame,
-                            sim::SimTime end, const std::vector<std::uint32_t>& rx,
-                            bool uncontended) override;
+  // Processes one frame's receiver group: arrive() decides each
+  // receiver, crediting collision counters and eliding strictly-covered
+  // doomed receptions, and ONE completion event is scheduled for the
+  // survivors (none when every reception was elided).
+  void deliver_group(const std::shared_ptr<const mac::Frame>& frame, sim::SimTime end,
+                     const std::vector<std::uint32_t>& rx) override;
 
   // --- elision accounting ---
   // Receptions resolved with no completion event ever scheduled, settled
@@ -97,8 +94,9 @@ class BatchedPhy final : public PhyEngine {
   [[nodiscard]] std::uint64_t rx_coalesced() const override { return rx_coalesced_; }
 
  private:
-  // Arrival bookkeeping for one receiver. Returns true when the
-  // reception must be tracked (false: analytically elided).
+  // Arrival bookkeeping for one receiver, the one place the reception
+  // rule is applied. Returns true when the reception must be tracked
+  // (false: analytically elided).
   bool arrive(std::size_t node, const mac::Frame* frame_key, sim::SimTime end);
   // finish_reception equivalent for one receiver of `frame`.
   void complete_one(std::size_t node, const std::shared_ptr<const mac::Frame>& frame);

@@ -64,11 +64,6 @@ std::shared_ptr<Channel::RxBuf> Channel::acquire_rx_buf() {
           [pool = std::move(pool)](RxBuf* b) { pool->free_list.emplace_back(b); }};
 }
 
-double Channel::distance_between(std::size_t a, std::size_t b) const {
-  const sim::SimTime now = sim_.now();
-  return mobility::distance(mobility_.position_of(a, now), mobility_.position_of(b, now));
-}
-
 void Channel::set_node_down(std::size_t node, bool down) {
   if (node >= radios_.size()) return;
   if (down_.size() < radios_.size()) down_.resize(radios_.size(), 0);
@@ -167,99 +162,15 @@ void Channel::transmit(std::size_t sender, const mac::Frame& frame) {
     }
     (*buf)->push_back(i);
   }
-  // Sender cell for the per-cell airtime timeline (spatial index only;
-  // the brute-force scan runs every group down the contended path).
-  std::size_t cell_col = 0;
-  std::size_t cell_row = 0;
-  if (index_ != nullptr) {
-    ensure_timeline();
-    const auto cell = index_->cell_of(from);
-    cell_col = cell.first;
-    cell_row = cell.second;
-  }
   for (auto& [prop_us, rx] : groups_) {
     const auto prop = sim::Duration::us(prop_us);
     const sim::SimTime end = now + prop + airtime;
     sim_.schedule_after(
         prop,
-        [this, shared, end, cell_col, cell_row, rx = std::move(rx)] {
-          deliver_to(*rx, shared, end, cell_col, cell_row);
-        },
+        [this, shared, end, rx = std::move(rx)] { engine_->deliver_group(shared, end, *rx); },
         sim::EventCategory::phy_delivery);
   }
   groups_.clear();  // drop the moved-from shells, keep the delay scratch
-}
-
-void Channel::deliver_to(const RxBuf& rx, const std::shared_ptr<const mac::Frame>& frame,
-                         sim::SimTime end, std::size_t cell_col, std::size_t cell_row) {
-  const bool uncontended =
-      !cell_busy_until_.empty() && timeline_clear(cell_col, cell_row, sim_.now());
-  const std::size_t live = engine_->deliver_group(frame, end, rx, uncontended);
-  if (live > 0 && !cell_busy_until_.empty()) stamp_timeline(cell_col, cell_row, end);
-}
-
-void Channel::ensure_timeline() {
-  if (index_ == nullptr) return;
-  if (!cell_busy_until_.empty() && timeline_nx_ == index_->cols() &&
-      timeline_ny_ == index_->rows()) {
-    return;
-  }
-  // (Re)size carries the global high-water mark into every cell, so a
-  // stamp from a previous grid (index rebuilt for a new node count) can
-  // never be forgotten while its frames are still in flight.
-  sim::SimTime floor = sim::SimTime::zero();
-  for (const sim::SimTime t : cell_busy_until_) {
-    if (t > floor) floor = t;
-  }
-  timeline_nx_ = index_->cols();
-  timeline_ny_ = index_->rows();
-  timeline_wrap_x_ = index_->wraps_x();
-  cell_busy_until_.assign(timeline_nx_ * timeline_ny_, floor);
-}
-
-void Channel::stamp_timeline(std::size_t col, std::size_t row, sim::SimTime end) {
-  // 3x3 window around the sender's cell: cells are sized >= range, so
-  // every receiver of the group lies inside it at stamp time.
-  const auto nx = static_cast<std::ptrdiff_t>(timeline_nx_);
-  const auto ny = static_cast<std::ptrdiff_t>(timeline_ny_);
-  for (std::ptrdiff_t dr = -1; dr <= 1; ++dr) {
-    const std::ptrdiff_t r = static_cast<std::ptrdiff_t>(row) + dr;
-    if (r < 0 || r >= ny) continue;
-    for (std::ptrdiff_t dc = -1; dc <= 1; ++dc) {
-      std::ptrdiff_t c = static_cast<std::ptrdiff_t>(col) + dc;
-      if (timeline_wrap_x_) {
-        c = (c + nx) % nx;  // highway wrap: modular column adjacency
-      } else if (c < 0 || c >= nx) {
-        continue;
-      }
-      sim::SimTime& cell = cell_busy_until_[static_cast<std::size_t>(r * nx + c)];
-      if (end > cell) cell = end;
-    }
-  }
-}
-
-bool Channel::timeline_clear(std::size_t col, std::size_t row, sim::SimTime now) const {
-  // 5x5 test window: one ring wider than the stamp, absorbing node
-  // motion (and index staleness) between a stamp and this query. The
-  // comparison is strict — a group completing exactly `now` may sweep
-  // after this arrival in same-timestamp FIFO order, so its receivers
-  // can still be mid-reception.
-  const auto nx = static_cast<std::ptrdiff_t>(timeline_nx_);
-  const auto ny = static_cast<std::ptrdiff_t>(timeline_ny_);
-  for (std::ptrdiff_t dr = -2; dr <= 2; ++dr) {
-    const std::ptrdiff_t r = static_cast<std::ptrdiff_t>(row) + dr;
-    if (r < 0 || r >= ny) continue;
-    for (std::ptrdiff_t dc = -2; dc <= 2; ++dc) {
-      std::ptrdiff_t c = static_cast<std::ptrdiff_t>(col) + dc;
-      if (timeline_wrap_x_) {
-        c = (c + nx) % nx;
-      } else if (c < 0 || c >= nx) {
-        continue;
-      }
-      if (cell_busy_until_[static_cast<std::size_t>(r * nx + c)] >= now) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace ag::phy

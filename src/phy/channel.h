@@ -7,7 +7,9 @@
 // brute-force O(n) scan — and the frame is scheduled as one shared
 // immutable copy across all receivers. PhyParams::use_spatial_index
 // restores the brute-force scan; both paths make bit-identical delivery
-// decisions.
+// decisions. At each group's first-bit time one event hands the receivers
+// to the radio state engine (PhyEngine::deliver_group), which decides
+// every arrival.
 #ifndef AG_PHY_CHANNEL_H
 #define AG_PHY_CHANNEL_H
 
@@ -88,11 +90,6 @@ class Channel {
   // spatial index or the brute-force scan found the receiver.
   [[nodiscard]] std::uint64_t suppressed_partition() const { return suppressed_partition_; }
 
-  [[nodiscard]] double distance_between(std::size_t a, std::size_t b) const;
-
-  // The live index, or nullptr before the first transmit / when disabled.
-  [[nodiscard]] const SpatialIndex* spatial_index() const { return index_.get(); }
-
   // The radio state engine (PhyParams::engine, BatchedPhy by default).
   [[nodiscard]] PhyEngine& engine() { return *engine_; }
   // The engine as BatchedPhy, or nullptr when a test installed another.
@@ -111,25 +108,6 @@ class Channel {
   };
   [[nodiscard]] std::shared_ptr<RxBuf> acquire_rx_buf();
 
-  // Delivery-time dispatch for one frame's receiver group: hands it to the
-  // engine with the cell-timeline verdict.
-  void deliver_to(const RxBuf& rx, const std::shared_ptr<const mac::Frame>& frame,
-                  sim::SimTime end, std::size_t cell_col, std::size_t cell_row);
-
-  // --- per-cell airtime timeline (spatial index only) ------------------
-  // cell_busy_until_[row * nx + col] is a monotone high-water mark over
-  // the completion times of every frame group delivered with its sender
-  // in that cell, stamped over the 3x3 cell window that provably contains
-  // all its receivers. A new group whose 5x5 window (one extra ring
-  // absorbs node motion between stamp and query) is strictly below `now`
-  // is uncontended: no receiver can have a reception in flight, so the
-  // engine's collision branches are skipped in one pass per cell.
-  // Monotone maxima are never decremented — fully-elided groups need no
-  // cleanup event; stale future stamps only cost the fast path.
-  void ensure_timeline();
-  void stamp_timeline(std::size_t col, std::size_t row, sim::SimTime end);
-  [[nodiscard]] bool timeline_clear(std::size_t col, std::size_t row,
-                                    sim::SimTime now) const;
   sim::Simulator& sim_;
   const mobility::MobilityModel& mobility_;
   PhyParams params_;
@@ -160,10 +138,6 @@ class Channel {
   // FP divide/cast was recomputed for every transmission on the hottest
   // path. -1 marks an uncomputed slot.
   mutable std::vector<std::int64_t> airtime_us_by_bytes_;
-  std::vector<sim::SimTime> cell_busy_until_;  // empty until ensure_timeline
-  std::size_t timeline_nx_{0};
-  std::size_t timeline_ny_{0};
-  bool timeline_wrap_x_{false};
 };
 
 }  // namespace ag::phy

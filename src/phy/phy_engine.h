@@ -55,13 +55,9 @@ class PhyEngine {
   // --- Channel delivery path ---
   // One frame's first bit reaches `rx` (ascending node order); its last
   // bit arrives at `end`. Receivers that went down since the transmit
-  // must be skipped. `uncontended` is the channel's per-cell airtime
-  // verdict: no receiver has a reception in flight. Returns the
-  // receptions still tracked.
-  virtual std::size_t deliver_group(const std::shared_ptr<const mac::Frame>& frame,
-                                    sim::SimTime end,
-                                    const std::vector<std::uint32_t>& rx,
-                                    bool uncontended) = 0;
+  // must be skipped.
+  virtual void deliver_group(const std::shared_ptr<const mac::Frame>& frame,
+                             sim::SimTime end, const std::vector<std::uint32_t>& rx) = 0;
 
   // --- elision accounting (see stats::NetworkTotals::phy_events_elided) ---
   [[nodiscard]] virtual std::uint64_t rx_elided() const = 0;

@@ -37,7 +37,6 @@
 #define AG_PHY_SPATIAL_INDEX_H
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "mobility/mobility_model.h"
@@ -84,13 +83,6 @@ class SpatialIndex {
   [[nodiscard]] std::size_t node_count() const { return node_count_; }
   [[nodiscard]] std::size_t cols() const { return nx_; }
   [[nodiscard]] std::size_t rows() const { return ny_; }
-  // Grid cell of a position (clamped into the border cells), and whether
-  // column adjacency wraps — exposed for the batched phy engine's
-  // per-cell airtime timeline, which shares this grid's geometry.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> cell_of(mobility::Vec2 p) const {
-    return {col_of(p.x), row_of(p.y)};
-  }
-  [[nodiscard]] bool wraps_x() const { return wrap_x_; }
   [[nodiscard]] double cell_size_m() const { return cell_m_; }
   [[nodiscard]] double margin_m() const { return margin_m_; }
   // End of the current epoch: queries at or before this time are covered

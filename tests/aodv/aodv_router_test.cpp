@@ -8,6 +8,7 @@
 namespace ag::aodv {
 namespace {
 
+using testutil::GossipPacketRecorder;
 using testutil::StaticNetwork;
 using testutil::line_positions;
 
@@ -25,20 +26,11 @@ net::Packet routed_probe(std::uint32_t src, std::uint32_t dst) {
   return p;
 }
 
-// Captures packets that reach a node's local-delivery hook.
-struct Capture {
-  std::vector<net::Packet> packets;
-  void attach(maodv::MaodvRouter& router) {
-    router.set_local_deliver(
-        [this](const net::Packet& pkt, net::NodeId) { packets.push_back(pkt); });
-  }
-};
-
 TEST(AodvRouter, DiscoversMultiHopRouteAndDelivers) {
   // 5 nodes, 80 m apart, 100 m range: only adjacent nodes hear each other.
   StaticNetwork net{line_positions(5, 80.0)};
-  Capture at4;
-  at4.attach(net.router(4));
+  GossipPacketRecorder at4;
+  net.router(4).set_observer(&at4);
   net.run_for(1.0);  // let hellos populate neighbor tables
 
   net.router(0).send_unicast(routed_probe(0, 4));
@@ -54,8 +46,8 @@ TEST(AodvRouter, DiscoversMultiHopRouteAndDelivers) {
 
 TEST(AodvRouter, SecondSendUsesCachedRoute) {
   StaticNetwork net{line_positions(3, 80.0)};
-  Capture at2;
-  at2.attach(net.router(2));
+  GossipPacketRecorder at2;
+  net.router(2).set_observer(&at2);
   net.run_for(1.0);
   net.router(0).send_unicast(routed_probe(0, 2));
   net.run_for(3.0);
@@ -100,8 +92,8 @@ TEST(AodvRouter, NeighborTimeoutAfterNodeMovesAway) {
 
 TEST(AodvRouter, BrokenRouteIsInvalidatedAndRediscovered) {
   StaticNetwork net{line_positions(4, 80.0)};
-  Capture at3;
-  at3.attach(net.router(3));
+  GossipPacketRecorder at3;
+  net.router(3).set_observer(&at3);
   net.run_for(1.0);
   net.router(0).send_unicast(routed_probe(0, 3));
   net.run_for(3.0);
@@ -124,8 +116,8 @@ TEST(AodvRouter, ReroutesViaAlternatePathAfterBreak) {
   // 0 - 1 - 2 line plus node 3 parallel to 1 (reaches both 0 and 2).
   std::vector<mobility::Vec2> pos = {{0, 0}, {80, 0}, {160, 0}, {80, 60}};
   StaticNetwork net{pos};
-  Capture at2;
-  at2.attach(net.router(2));
+  GossipPacketRecorder at2;
+  net.router(2).set_observer(&at2);
   net.run_for(1.0);
   net.router(0).send_unicast(routed_probe(0, 2));
   net.run_for(3.0);
@@ -143,8 +135,8 @@ TEST(AodvRouter, ReroutesViaAlternatePathAfterBreak) {
 
 TEST(AodvRouter, RouteHintAvoidsDiscovery) {
   StaticNetwork net{line_positions(3, 80.0)};
-  Capture at2;
-  at2.attach(net.router(2));
+  GossipPacketRecorder at2;
+  net.router(2).set_observer(&at2);
   net.run_for(1.0);
   net.router(0).route_hint(net::NodeId{2}, net::NodeId{1}, 2);
   net.router(1).route_hint(net::NodeId{2}, net::NodeId{2}, 1);
@@ -156,8 +148,8 @@ TEST(AodvRouter, RouteHintAvoidsDiscovery) {
 
 TEST(AodvRouter, SendToSelfDeliversLocally) {
   StaticNetwork net{line_positions(2, 50.0)};
-  Capture at0;
-  at0.attach(net.router(0));
+  GossipPacketRecorder at0;
+  net.router(0).set_observer(&at0);
   net.router(0).send_unicast(routed_probe(0, 0));
   net.run_for(0.5);
   EXPECT_EQ(at0.packets.size(), 1u);
@@ -165,8 +157,8 @@ TEST(AodvRouter, SendToSelfDeliversLocally) {
 
 TEST(AodvRouter, SendToNeighborBypassesRouting) {
   StaticNetwork net{line_positions(2, 50.0)};
-  Capture at1;
-  at1.attach(net.router(1));
+  GossipPacketRecorder at1;
+  net.router(1).set_observer(&at1);
   gossip::NearestMemberMsg nm{testutil::kGroup, 3};
   net.router(0).send_to_neighbor(net::NodeId{1}, nm);
   net.run_for(0.5);

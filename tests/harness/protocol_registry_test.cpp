@@ -60,6 +60,21 @@ TEST(ProtocolRegistry, ParseListRejectsUnknownNamesWithTheRegisteredList) {
   }
 }
 
+TEST(ProtocolRegistry, ParseListRejectsRepeatedNames) {
+  const ProtocolRegistry& reg = ProtocolRegistry::instance();
+  // A repeated name would run and report the same series twice. Stray
+  // commas between the copies do not hide the repeat.
+  for (const char* list : {"maodv,maodv", "maodv,,maodv"}) {
+    try {
+      (void)reg.parse_list(list);
+      FAIL() << "parse_list must throw on a repeated name: " << list;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("\"maodv\" is listed twice"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ProtocolRegistry, ParseListRejectsEmptyLists) {
   const ProtocolRegistry& reg = ProtocolRegistry::instance();
   EXPECT_THROW((void)reg.parse_list(""), std::invalid_argument);

@@ -418,6 +418,36 @@ TEST(NodesCliDeathTest, RejectsMalformedCounts) {
   }
 }
 
+std::vector<harness::Protocol> parse_protocols_arg(std::string arg) {
+  std::vector<char*> argv{const_cast<char*>("figure"), arg.data()};
+  return bench::protocols_from_cli(static_cast<int>(argv.size()), argv.data(),
+                                   {harness::Protocol::maodv});
+}
+
+TEST(ProtocolsCli, ParsesNameLists) {
+  EXPECT_EQ(parse_protocols_arg("--protocols=odmrp,flooding"),
+            (std::vector<harness::Protocol>{harness::Protocol::odmrp,
+                                            harness::Protocol::flooding}));
+  EXPECT_EQ(parse_protocols_arg("--nodes=40"),
+            std::vector<harness::Protocol>{harness::Protocol::maodv});
+}
+
+TEST(ProtocolsCliDeathTest, RejectsUnknownEmptyAndRepeatedNames) {
+  // Each rejected list exits 2 and names what is wrong with it.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--protocols=maodv,nope", "unknown protocol \"nope\""},
+      {"--protocols=", "empty protocol list"},
+      {"--protocols=,,", "empty protocol list"},
+      {"--protocols=maodv,maodv", "protocol \"maodv\" is listed twice"},
+      {"--protocols=odmrp,maodv,,odmrp", "protocol \"odmrp\" is listed twice"},
+  };
+  for (const auto& [bad, message] : cases) {
+    EXPECT_EXIT(parse_protocols_arg(bad), ::testing::ExitedWithCode(2),
+                regex_quoted(message))
+        << bad;
+  }
+}
+
 TEST_F(ShardDriverTest, ShardedRunMergesByteIdenticalToSerial) {
   const std::string serial = serial_json();
   const harness::ExperimentBuilder builder = tests::make_probe_builder();

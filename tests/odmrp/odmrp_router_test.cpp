@@ -13,6 +13,7 @@
 #include "phy/channel.h"
 #include "phy/radio.h"
 #include "sim/simulator.h"
+#include "testutil/stack_fixture.h"
 
 namespace ag::odmrp {
 namespace {
@@ -186,15 +187,15 @@ TEST(Odmrp, MeshNeighborsExposedToGossipAdapter) {
 TEST(Odmrp, UnicastRoutingInheritedFromAodv) {
   OdmrpNetwork net{line(3)};
   net.run_for(1.0);
-  bool delivered = false;
-  net.router(2).set_local_deliver(
-      [&](const net::Packet&, net::NodeId) { delivered = true; });
+  testutil::GossipPacketRecorder at2;
+  net.router(2).set_observer(&at2);
   gossip::GossipReplyMsg probe;
   probe.group = kG;
   probe.responder = net::NodeId{0};
   net.router(0).unicast(net::NodeId{2}, probe);
   net.run_for(3.0);
-  EXPECT_TRUE(delivered);
+  ASSERT_EQ(at2.packets.size(), 1u);
+  EXPECT_TRUE(at2.packets[0].is<gossip::GossipReplyMsg>());
 }
 
 TEST(Odmrp, GossipOverMeshRecoversInjectedLoss) {

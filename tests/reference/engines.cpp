@@ -59,15 +59,12 @@ class PerReceiverPhy final : public phy::PhyEngine {
     after_state_change(node, was_busy);
   }
 
-  std::size_t deliver_group(const std::shared_ptr<const mac::Frame>& frame, sim::SimTime end,
-                            const std::vector<std::uint32_t>& rx, bool) override {
-    std::size_t begun = 0;
+  void deliver_group(const std::shared_ptr<const mac::Frame>& frame, sim::SimTime end,
+                     const std::vector<std::uint32_t>& rx) override {
     for (const std::uint32_t node : rx) {
       if (channel_.is_node_down(node)) continue;  // crashed between send and first bit
       begin_reception(node, frame, end);
-      ++begun;
     }
-    return begun;
   }
 
  private:

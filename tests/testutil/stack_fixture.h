@@ -7,11 +7,13 @@
 #ifndef AG_TESTS_TESTUTIL_STACK_FIXTURE_H
 #define AG_TESTS_TESTUTIL_STACK_FIXTURE_H
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "gossip/gossip_agent.h"
+#include "gossip/routing_adapter.h"
 #include "harness/protocol_registry.h"
 #include "mac/csma_mac.h"
 #include "maodv/maodv_router.h"
@@ -139,6 +141,25 @@ class StaticNetwork {
   mobility::StaticMobility mobility_;
   phy::Channel channel_;
   std::vector<std::unique_ptr<Node>> nodes_;
+};
+
+// Records the gossip-layer packets (walks, replies, nearest-member
+// updates) a router hands up to its observer. Installed with
+// router.set_observer(&recorder) it stands in for the node's gossip agent,
+// so the recorded packets are exactly what the agent would have received;
+// every other router event is ignored.
+class GossipPacketRecorder final : public gossip::RouterObserver {
+ public:
+  void on_multicast_data(const net::MulticastData&, net::NodeId) override {}
+  void on_tree_neighbor_added(net::GroupId, net::NodeId, std::uint16_t) override {}
+  void on_tree_neighbor_removed(net::GroupId, net::NodeId) override {}
+  void on_self_membership_changed(net::GroupId, bool) override {}
+  void on_member_learned(net::GroupId, net::NodeId, std::uint8_t) override {}
+  void on_gossip_packet(const net::Packet& packet, net::NodeId) override {
+    packets.push_back(packet);
+  }
+
+  std::vector<net::Packet> packets;
 };
 
 // Positions for a line of n nodes spaced `spacing` meters apart.
